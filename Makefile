@@ -113,13 +113,13 @@ smoke-udp:
 	scripts/udpsmoke.sh
 
 # bench runs the datapath throughput suite (round trips, multi-client
-# load, packing on/off ablation) with the same methodology as the
-# recorded BENCH_*.json trajectory files, then prints a JSON summary in
-# the BENCH_baseline.json schema for side-by-side comparison. Override
-# BENCH_COUNT for more repetitions.
+# load, replication degree, multi-group, admission on/off) with the same
+# methodology as the recorded BENCH_*.json trajectory files, then prints
+# a JSON summary in the BENCH_baseline.json schema for side-by-side
+# comparison. Override BENCH_COUNT for more repetitions.
 BENCH_COUNT ?= 3
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkE5GatewayLoops$$|BenchmarkGatewayRoundTrip|BenchmarkGatewayMultiClient|BenchmarkGatewayPacking|BenchmarkGatewayReplicationDegree|BenchmarkGatewayMultiGroup|BenchmarkGatewayAdmission' -benchtime 2s -count $(BENCH_COUNT) . | tee /tmp/bench_run.txt
+	$(GO) test -run xxx -bench 'BenchmarkE5GatewayLoops$$|BenchmarkGatewayRoundTrip|BenchmarkGatewayMultiClient|BenchmarkGatewayReplicationDegree|BenchmarkGatewayMultiGroup|BenchmarkGatewayAdmission' -benchtime 2s -count $(BENCH_COUNT) . | tee /tmp/bench_run.txt
 	@awk -f scripts/benchjson.awk /tmp/bench_run.txt
 
 # bench-smoke runs every benchmark in the module for exactly one
@@ -130,13 +130,15 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# bench-udp records the real-network UDP datapath A/B in the
-# BENCH_udp.json schema: the in-process transport-level multi-client
-# suite (BenchmarkUDPNetMultiClient) and the gateway suite over real
-# sockets (BenchmarkGatewayMultiClientUDP), batched vs per-datagram
-# alternating within every round, plus the multi-process sweep
+# bench-udp records the real-network UDP datapath in the BENCH_udp.json
+# schema: the in-process transport-level multi-client suite
+# (BenchmarkUDPNetMultiClient) and the gateway suite over real sockets
+# (BenchmarkGatewayMultiClientUDP), plus the multi-process sweep
 # (scripts/benchudp.sh: one ftdomaind -node OS process per ring member,
-# ring and leader ordering at r=1..3, exactly-once audited).
+# ring and leader ordering at r=1..3, exactly-once audited). The
+# committed BENCH_udp.json predates the retirement of the per-datagram
+# ablation and still holds its batched vs per-datagram rows; rerunning
+# this target overwrites that record.
 BENCH_UDP_ROUNDS ?= 3
 BENCH_UDP_MP_ROUNDS ?= 2
 bench-udp:

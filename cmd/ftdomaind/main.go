@@ -146,7 +146,6 @@ func main() {
 		registry = flag.String("registry", "", "ring membership as comma-separated id=host:port pairs, or @file with one pair per line (node mode)")
 		udpRcv   = flag.Int("udp-rcvbuf", 0, "UDP socket receive buffer in bytes (0 = OS default)")
 		udpSnd   = flag.Int("udp-sndbuf", 0, "UDP socket send buffer in bytes (0 = OS default)")
-		udpBatch = flag.Bool("udp-batch", true, "amortize UDP syscalls with sendmmsg/recvmmsg where supported (false = per-datagram ablation path)")
 		ordering = flag.String("ordering", "ring", "totem ordering mode: ring (token rotation) or leader (sequencer fast path, see docs/PERFORMANCE.md)")
 		quorum   = flag.Bool("quorum", false, "enable majority-partition protection (a minority partition refuses to serve)")
 		obsAddr  = flag.String("obs-addr", "", "ops HTTP listen address for /metrics, /healthz, /readyz, /statusz (empty disables)")
@@ -162,9 +161,8 @@ func main() {
 	)
 	flag.Parse()
 	udpCfg := udpnet.Config{
-		ReadBuffer:      *udpRcv,
-		WriteBuffer:     *udpSnd,
-		DisableBatching: !*udpBatch,
+		ReadBuffer:  *udpRcv,
+		WriteBuffer: *udpSnd,
 	}
 	if *node != "" {
 		if err := runNode(nodeOpts{

@@ -14,7 +14,7 @@
 //
 //	udpbench -freeports 4                      # print free localhost UDP ports
 //	udpbench -addr 127.0.0.1:9021 -clients 16 -duration 2s \
-//	         -name BenchmarkUDPMultiProcess/batched/r=3/c=16/small
+//	         -name BenchmarkUDPMultiProcess/ring/r=3/c=16/small
 //	udpbench -addr 127.0.0.1:9021 -clients 8 -audit
 package main
 

@@ -58,6 +58,11 @@ const (
 	minorInvokeFailed uint32 = 0
 )
 
+// replyCacheSize bounds the section 3.5 record store: roughly this many
+// recorded requests and as many recorded responses, used to answer
+// reissued invocations after a gateway failover.
+const replyCacheSize = 8192
+
 // Errors reported by the gateway.
 var ErrClosed = errors.New("gateway: closed")
 
@@ -73,16 +78,6 @@ type Config struct {
 	ListenAddr string
 	// InvokeTimeout bounds each forwarded invocation. Zero means 10s.
 	InvokeTimeout time.Duration
-	// ReplyCacheSize bounds the recorded-response cache used to answer
-	// reissued invocations after a gateway failover. Zero means 8192.
-	ReplyCacheSize int
-	// DisableGroupRecord turns off the section 3.5 gateway-group
-	// recording (the request record multicast and the response cache).
-	// Reissues after a failover then always travel into the domain and
-	// rely on server-side duplicate detection alone. Exists for
-	// ablation: it trades one extra multicast per request against
-	// failover work.
-	DisableGroupRecord bool
 	// Log receives diagnostics (tagged component=gateway); nil discards
 	// them.
 	Log *obs.Logger
@@ -210,9 +205,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.InvokeTimeout == 0 {
 		cfg.InvokeTimeout = 10 * time.Second
 	}
-	if cfg.ReplyCacheSize == 0 {
-		cfg.ReplyCacheSize = 8192
-	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
@@ -234,7 +226,7 @@ func New(cfg Config) (*Gateway, error) {
 		adm:           cfg.Admission,
 		conns:         make(map[net.Conn]struct{}),
 		counters:      make(map[replication.GroupID]uint64),
-		records:       newRecordStore(cfg.ReplyCacheSize),
+		records:       newRecordStore(replyCacheSize),
 		depNotify:     make(chan struct{}, 1),
 		acceptStop:    make(chan struct{}),
 		quit:          make(chan struct{}),
@@ -682,20 +674,17 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 
 	// A reissued invocation (after the client failed over from a dead
 	// gateway) may already have been answered; the gateway group's
-	// record answers it without touching the servers. The cheap flag is
-	// tested before the cache lookup takes a shard lock.
-	if !gw.cfg.DisableGroupRecord {
-		if rep, ok := gw.cachedReply(key); ok {
-			gw.answeredFromCache.Add(1)
-			gw.tracer.Event(tkey, obs.StageDupSuppressed, "gateway-record")
-			if req.ResponseExpected {
-				gw.repliesReturned.Add(1)
-				cc.writeReplyRaw(msg, req, rep)
-				gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway")
-			}
-			gw.observeLatency(arrived)
-			return
+	// record answers it without touching the servers.
+	if rep, ok := gw.cachedReply(key); ok {
+		gw.answeredFromCache.Add(1)
+		gw.tracer.Event(tkey, obs.StageDupSuppressed, "gateway-record")
+		if req.ResponseExpected {
+			gw.repliesReturned.Add(1)
+			cc.writeReplyRaw(msg, req, rep)
+			gw.tracer.Event(tkey, obs.StageReplyWrite, "gateway")
 		}
+		gw.observeLatency(arrived)
+		return
 	}
 
 	// The section 3.5 request record rides on the invocation itself: the
@@ -900,7 +889,7 @@ func (g *Gateway) observe(msg replication.Message, ts uint64) {
 		}
 		return
 	case replication.KindInvocation:
-		if g.cfg.DisableGroupRecord || msg.Header.ClientID == replication.UnusedClientID {
+		if msg.Header.ClientID == replication.UnusedClientID {
 			return
 		}
 		// The record rides on the invocation itself: every invocation a
@@ -917,7 +906,7 @@ func (g *Gateway) observe(msg replication.Message, ts uint64) {
 			g.reinvocationsDetected.Add(1)
 		}
 	case replication.KindResponse:
-		if g.cfg.DisableGroupRecord || msg.Header.ClientID == replication.UnusedClientID {
+		if msg.Header.ClientID == replication.UnusedClientID {
 			return
 		}
 		// The raw encapsulated reply is stored as-is (the record store

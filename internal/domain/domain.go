@@ -28,8 +28,8 @@ import (
 	"eternalgw/internal/totem"
 )
 
-// DefaultGatewayGroup is the object group id gateways join unless the
-// caller chooses another.
+// DefaultGatewayGroup is the object group id every domain's gateways
+// join.
 const DefaultGatewayGroup replication.GroupID = 1
 
 // Config parameterizes a Domain.
@@ -38,14 +38,10 @@ type Config struct {
 	Name string
 	// Nodes is the number of processors in the domain.
 	Nodes int
-	// NetOptions configure the simulated network (loss, delay, seed).
-	NetOptions []memnet.Option
 	// Totem overrides protocol timeouts; zero values use totem defaults.
 	Totem totem.Config
 	// Replication overrides mechanism tuning; zero values use defaults.
 	Replication replication.Config
-	// GatewayGroup is the gateways' object group id.
-	GatewayGroup replication.GroupID
 	// GatewayInvokeTimeout bounds invocations forwarded by gateways.
 	GatewayInvokeTimeout time.Duration
 	// Admission, when set, is the admission-control template applied to
@@ -114,12 +110,9 @@ func New(cfg Config) (*Domain, error) {
 	if cfg.Name == "" {
 		cfg.Name = "domain"
 	}
-	if cfg.GatewayGroup == 0 {
-		cfg.GatewayGroup = DefaultGatewayGroup
-	}
 	d := &Domain{
 		Name:      cfg.Name,
-		Net:       memnet.New(cfg.NetOptions...),
+		Net:       memnet.New(),
 		cfg:       cfg,
 		gwNode:    make(map[*core.Gateway]int),
 		published: make(map[string]string),
@@ -172,12 +165,12 @@ func New(cfg Config) (*Domain, error) {
 	d.manager = ftmgmt.NewManager(hosts...)
 	d.manager.Instrument(cfg.Metrics, cfg.Log)
 	// The gateway group exists from the start so gateways can join it.
-	if err := d.nodes[0].RM.CreateGroup(cfg.GatewayGroup, replication.Active, nil); err != nil {
+	if err := d.nodes[0].RM.CreateGroup(DefaultGatewayGroup, replication.Active, nil); err != nil {
 		d.Close()
 		return nil, err
 	}
 	for _, n := range d.nodes {
-		if err := n.RM.WaitForGroup(cfg.GatewayGroup, 10*time.Second); err != nil {
+		if err := n.RM.WaitForGroup(DefaultGatewayGroup, 10*time.Second); err != nil {
 			d.Close()
 			return nil, fmt.Errorf("domain %s: gateway group: %w", cfg.Name, err)
 		}
@@ -226,7 +219,7 @@ func (d *Domain) AddGatewayAdmission(i int, addr string, ac *admission.Config) (
 	}
 	gw, err := core.New(core.Config{
 		RM:            n.RM,
-		Group:         d.cfg.GatewayGroup,
+		Group:         DefaultGatewayGroup,
 		ListenAddr:    addr,
 		InvokeTimeout: d.cfg.GatewayInvokeTimeout,
 		Admission:     adm,
@@ -237,7 +230,7 @@ func (d *Domain) AddGatewayAdmission(i int, addr string, ac *admission.Config) (
 	if err != nil {
 		return nil, err
 	}
-	if err := n.RM.WaitSynced(d.cfg.GatewayGroup, 10*time.Second); err != nil {
+	if err := n.RM.WaitSynced(DefaultGatewayGroup, 10*time.Second); err != nil {
 		_ = gw.Close()
 		return nil, err
 	}
@@ -288,7 +281,7 @@ func (d *Domain) RemoveGateway(gw *core.Gateway, drainTimeout time.Duration) err
 	}
 	err := gw.Drain(drainTimeout)
 	if lastOnNode {
-		if lerr := d.nodes[idx].RM.LeaveGroup(d.cfg.GatewayGroup); lerr != nil && err == nil {
+		if lerr := d.nodes[idx].RM.LeaveGroup(DefaultGatewayGroup); lerr != nil && err == nil {
 			err = lerr
 		}
 	}

@@ -236,7 +236,8 @@ func (c *Coordinator) addReplica(id replication.GroupID, factory Factory) (repli
 
 // evict removes one member through an ordered view change and waits
 // until the evicted node itself has installed the new view (so its host
-// slot is immediately reusable for a re-join).
+// slot is immediately reusable for a re-join) and so has the host whose
+// view the next operation reads through anyRM.
 func (c *Coordinator) evict(id replication.GroupID, node memnet.NodeID) (replication.View, error) {
 	rm, err := c.anyRM()
 	if err != nil {
@@ -253,8 +254,10 @@ func (c *Coordinator) evict(id replication.GroupID, node memnet.NodeID) (replica
 	if err := rm.EvictMembers(id, node); err != nil {
 		return replication.View{}, err
 	}
-	if err := waitOn.WaitForView(id, prev.Number+1, c.timeout); err != nil {
-		return replication.View{}, fmt.Errorf("reconfig: evict %s from group %d: %w", node, id, err)
+	for _, w := range []*replication.Mechanisms{waitOn, rm} {
+		if err := w.WaitForView(id, prev.Number+1, c.timeout); err != nil {
+			return replication.View{}, fmt.Errorf("reconfig: evict %s from group %d: %w", node, id, err)
+		}
 	}
 	v, _ := waitOn.View(id)
 	return v, nil

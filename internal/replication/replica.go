@@ -269,7 +269,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 	if err != nil {
 		return
 	}
-	if raw != nil && !r.m.cfg.DisableCatchupLog {
+	if raw != nil {
 		// Log the wire form before executing: a checkpoint cut inside the
 		// execution (maybeSync, at Seq == ts) then correctly truncates the
 		// entry its state already covers. Replay paths whose entries are
@@ -379,9 +379,6 @@ func (r *replica) maybeSync(ts uint64) {
 // already covers. A joiner is then donated this checkpoint plus the
 // (bounded) entries logged since, instead of a full capture.
 func (r *replica) maybeCheckpointLocal(ts uint64) {
-	if r.m.cfg.DisableCatchupLog {
-		return
-	}
 	interval := r.m.cfg.CheckpointInterval
 	if interval <= 0 || r.opCount%uint64(interval) != 0 {
 		return
@@ -398,22 +395,20 @@ func (r *replica) maybeCheckpointLocal(ts uint64) {
 // catch-up log holds a checkpoint, the donation is the checkpoint plus
 // the entries logged since it — the joiner catches up by replaying a
 // bounded suffix instead of receiving a fresh full capture. Without a
-// checkpoint (a young group, or the log disabled) it falls back to
-// capturing the application state at this point in the total order.
+// checkpoint (a young group) it falls back to capturing the application
+// state at this point in the total order.
 func (r *replica) handleCaptureState(t task) {
-	if !r.m.cfg.DisableCatchupLog {
-		if cp, entries, err := r.m.log.Recover(uint32(r.group)); err == nil {
-			_ = r.m.multicast(Message{
-				Header: Header{Kind: KindStateTransfer, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
-				Payload: encodeState(statePayload{
-					Target: t.joiner, JoinTS: t.ts, OpCount: cp.OpCount,
-					State: cp.State, CpSeq: cp.Seq, Entries: entries,
-				}),
-			})
-			r.m.stateTransfers.Add(1)
-			r.m.transfersCheckpointed.Add(1)
-			return
-		}
+	if cp, entries, err := r.m.log.Recover(uint32(r.group)); err == nil {
+		_ = r.m.multicast(Message{
+			Header: Header{Kind: KindStateTransfer, ClientID: UnusedClientID, SrcGroup: r.group, DstGroup: r.group},
+			Payload: encodeState(statePayload{
+				Target: t.joiner, JoinTS: t.ts, OpCount: cp.OpCount,
+				State: cp.State, CpSeq: cp.Seq, Entries: entries,
+			}),
+		})
+		r.m.stateTransfers.Add(1)
+		r.m.transfersCheckpointed.Add(1)
+		return
 	}
 	state, err := r.app.State()
 	if err != nil {
@@ -465,7 +460,7 @@ func (r *replica) handleApplyState(t task) {
 			return
 		}
 		r.opCount = st.OpCount
-		if !r.m.cfg.DisableCatchupLog && st.CpSeq > 0 {
+		if st.CpSeq > 0 {
 			// Seed the local log with the donation so this replica is
 			// immediately donor-capable for the next joiner.
 			r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
@@ -477,7 +472,7 @@ func (r *replica) handleApplyState(t task) {
 			if err != nil {
 				continue
 			}
-			if !r.m.cfg.DisableCatchupLog && st.CpSeq > 0 {
+			if st.CpSeq > 0 {
 				r.m.log.AppendOwned(uint32(r.group), e)
 			}
 			r.executeInvocation(msg, nil, e.Seq, execCatchup)
@@ -516,13 +511,11 @@ func (r *replica) handleApplySync(t task) {
 			}
 		}
 		r.pendingLog = kept
-		if !r.m.cfg.DisableCatchupLog {
-			// Mirror the sync into the local log: a promoted warm backup
-			// is then donor-capable from its last synchronized state.
-			r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
-				Seq: t.state.JoinTS, OpCount: t.state.OpCount, State: t.state.State,
-			})
-		}
+		// Mirror the sync into the local log: a promoted warm backup is
+		// then donor-capable from its last synchronized state.
+		r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
+			Seq: t.state.JoinTS, OpCount: t.state.OpCount, State: t.state.State,
+		})
 	case ColdPassive:
 		r.m.log.Checkpoint(uint32(r.group), logrec.Checkpoint{
 			Seq: t.state.JoinTS, OpCount: t.state.OpCount, State: t.state.State,

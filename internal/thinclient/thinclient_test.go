@@ -87,6 +87,23 @@ func (a *counterApp) value() int64 {
 	return a.total
 }
 
+// assertTotals checks exactly-once execution: every replica's counter
+// must equal want. A call returns on the first replica's reply (active
+// replication), so lagging replicas get a deadline to catch up before
+// the exact comparison.
+func assertTotals(t *testing.T, apps []*counterApp, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for i, app := range apps {
+		for app.value() < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := app.value(); got != want {
+			t.Fatalf("replica %d total = %d, want %d: operations lost or duplicated", i, got, want)
+		}
+	}
+}
+
 func deploy(t *testing.T, d *domain.Domain, replicas, gateways int) ([]*counterApp, ior.Ref) {
 	t.Helper()
 	var (
@@ -184,11 +201,7 @@ func TestFailoverToNextGateway(t *testing.T) {
 		t.Fatalf("failovers = %d, want >= 2", st.Failovers)
 	}
 	// Exactly-once: every replica executed exactly `calls` operations.
-	for i, app := range apps {
-		if got := app.value(); got != calls {
-			t.Fatalf("replica %d total = %d, want %d", i, got, calls)
-		}
-	}
+	assertTotals(t, apps, calls)
 	if c.Gateway() != gws[2].Addr() {
 		t.Fatalf("final gateway = %s, want %s", c.Gateway(), gws[2].Addr())
 	}
@@ -232,11 +245,7 @@ func TestConcurrentCallersDuringFailover(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	for i, app := range apps {
-		if got := app.value(); got != workers*per {
-			t.Fatalf("replica %d total = %d, want %d", i, got, workers*per)
-		}
-	}
+	assertTotals(t, apps, workers*per)
 }
 
 func TestAllGatewaysDown(t *testing.T) {
@@ -332,11 +341,7 @@ func TestShedRetryAndFailover(t *testing.T) {
 	if c.Gateway() != d.Gateways()[1].Addr() {
 		t.Fatalf("connected to %s, want the redundant gateway %s", c.Gateway(), d.Gateways()[1].Addr())
 	}
-	for i, app := range apps {
-		if got := app.value(); got != 2 {
-			t.Fatalf("replica %d total = %d, want 2", i, got)
-		}
-	}
+	assertTotals(t, apps, 2)
 }
 
 func TestDrainHandsClientsToRedundantGateway(t *testing.T) {
@@ -367,11 +372,7 @@ func TestDrainHandsClientsToRedundantGateway(t *testing.T) {
 	if st := c.Stats(); st.Failovers < 1 {
 		t.Fatalf("stats = %+v, want a failover off the drained gateway", st)
 	}
-	for i, app := range apps {
-		if got := app.value(); got != calls {
-			t.Fatalf("replica %d total = %d, want %d", i, got, calls)
-		}
-	}
+	assertTotals(t, apps, calls)
 }
 
 func TestGatewayChurnWithProfileRefresh(t *testing.T) {
@@ -456,11 +457,7 @@ func TestGatewayChurnWithProfileRefresh(t *testing.T) {
 		call(i + 1)
 	}
 
-	for idx, app := range apps {
-		if got := app.value(); got != 30 {
-			t.Fatalf("replica %d total = %d, want 30: operations lost or duplicated", idx, got)
-		}
-	}
+	assertTotals(t, apps, 30)
 	if got := len(d.Gateways()); got != 1 {
 		t.Fatalf("gateways after churn = %d, want 1", got)
 	}

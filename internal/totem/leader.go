@@ -173,6 +173,34 @@ func (n *Node) compactPending(drained int) {
 	n.pendingN.Store(int64(rest))
 }
 
+// nextPack returns the end index (exclusive) of the pack that starts at
+// pending[first]: as many queued payloads as fit one ordered message
+// under the MaxPackCount and MaxPackBytes bounds. The first payload is
+// always taken, so an oversized payload still travels (alone).
+func (n *Node) nextPack(first int) int {
+	end := first + 1
+	bytes := len(n.pending[first])
+	for end < len(n.pending) &&
+		end-first < n.cfg.MaxPackCount &&
+		bytes+len(n.pending[end]) <= n.cfg.MaxPackBytes {
+		bytes += len(n.pending[end])
+		end++
+	}
+	return end
+}
+
+// packParts copies pending[first:end] out of the send queue, counting it
+// as a pack when it carries more than one payload.
+func (n *Node) packParts(first, end int) [][]byte {
+	parts := make([][]byte, end-first)
+	copy(parts, n.pending[first:end])
+	if len(parts) > 1 {
+		n.packedMsgN.Add(1)
+		n.packedPartN.Add(uint64(len(parts)))
+	}
+	return parts
+}
+
 // forwardPending ships every queued payload to the sequencer instead of
 // waiting for a token visit: the fast path's datapath entry on a
 // follower. Payloads are chunked by the same packing bounds the ring
@@ -183,22 +211,8 @@ func (n *Node) forwardPending() {
 	drained := 0
 	for drained < len(n.pending) {
 		first := drained
-		bytes := len(n.pending[drained])
-		drained++
-		if !n.cfg.DisablePacking {
-			for drained < len(n.pending) &&
-				drained-first < n.cfg.MaxPackCount &&
-				bytes+len(n.pending[drained]) <= n.cfg.MaxPackBytes {
-				bytes += len(n.pending[drained])
-				drained++
-			}
-		}
-		parts := make([][]byte, drained-first)
-		copy(parts, n.pending[first:drained])
-		if len(parts) > 1 {
-			n.packedMsgN.Add(1)
-			n.packedPartN.Add(uint64(len(parts)))
-		}
+		drained = n.nextPack(first)
+		parts := n.packParts(first, drained)
 		n.fwdNext++
 		n.awaiting = append(n.awaiting, awaitingFwd{fwd: n.fwdNext, parts: parts})
 		n.awaitingParts += len(parts)
@@ -221,22 +235,8 @@ func (n *Node) leaderOrderPending() {
 	drained := 0
 	for drained < len(n.pending) {
 		first := drained
-		bytes := len(n.pending[drained])
-		drained++
-		if !n.cfg.DisablePacking {
-			for drained < len(n.pending) &&
-				drained-first < n.cfg.MaxPackCount &&
-				bytes+len(n.pending[drained]) <= n.cfg.MaxPackBytes {
-				bytes += len(n.pending[drained])
-				drained++
-			}
-		}
-		parts := make([][]byte, drained-first)
-		copy(parts, n.pending[first:drained])
-		if len(parts) > 1 {
-			n.packedMsgN.Add(1)
-			n.packedPartN.Add(uint64(len(parts)))
-		}
+		drained = n.nextPack(first)
+		parts := n.packParts(first, drained)
 		n.fwdNext++
 		n.broadcastN.Add(1)
 		if !n.orderParts(n.cfg.ID, n.fwdNext, parts) {

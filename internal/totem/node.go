@@ -36,6 +36,11 @@ var ErrStopped = errors.New("totem: node stopped")
 
 const eventBufSize = 4096
 
+// skipAge is how many unsatisfied full token rotations a retransmission
+// request survives before the leader declares the message unrecoverable
+// and skips it.
+const skipAge = 4
+
 // Node is one member of a Totem ring. Create with Start, stop with Stop.
 // All protocol state is owned by a single goroutine; the public methods
 // communicate with it through channels.
@@ -86,8 +91,8 @@ type Node struct {
 	holdUntil  time.Time
 	workInHold bool
 	// lastTrafficAt is when this node last saw application traffic (a
-	// new regular broadcast, local or remote). Within Config.ActiveWindow
-	// of it the token is forwarded without an idle hold.
+	// new regular broadcast, local or remote). Within eight IdleHolds of
+	// it the token's idle hold is cut to a quarter (see processToken).
 	lastTrafficAt time.Time
 
 	alive          map[memnet.NodeID]bool
@@ -653,37 +658,18 @@ func (n *Node) processToken(t token) {
 	for drained < len(n.pending) && burst > 0 {
 		burst--
 		t.Seq++
-		var m regularMsg
-		if n.cfg.DisablePacking {
-			m = regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID, Payload: n.pending[drained]}
-			drained++
+		// Pack as many queued payloads as fit into one message (one
+		// sequence number, one datagram, one window slot), as the
+		// original Totem fills each packet from the send queue.
+		first := drained
+		drained = n.nextPack(first)
+		m := regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID}
+		if drained-first == 1 {
+			// A single payload degrades to the plain form: identical
+			// wire bytes to the pre-packing protocol.
+			m.Payload = n.pending[first]
 		} else {
-			// Pack as many queued payloads as fit into one message (one
-			// sequence number, one datagram, one window slot), as the
-			// original Totem fills each packet from the send queue. The
-			// first payload is always accepted so oversized payloads still
-			// travel (alone); later ones must keep the pack within the
-			// count and byte bounds.
-			first := drained
-			bytes := len(n.pending[drained])
-			drained++
-			for drained < len(n.pending) &&
-				drained-first < n.cfg.MaxPackCount &&
-				bytes+len(n.pending[drained]) <= n.cfg.MaxPackBytes {
-				bytes += len(n.pending[drained])
-				drained++
-			}
-			if drained-first == 1 {
-				// A single payload degrades to the plain form: identical
-				// wire bytes to the pre-packing protocol.
-				m = regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID, Payload: n.pending[first]}
-			} else {
-				parts := make([][]byte, drained-first)
-				copy(parts, n.pending[first:drained])
-				m = regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID, Parts: parts}
-				n.packedMsgN.Add(1)
-				n.packedPartN.Add(uint64(len(parts)))
-			}
+			m.Parts = n.packParts(first, drained)
 		}
 		n.buffer[t.Seq] = m
 		if t.Seq > n.highest {
@@ -694,16 +680,7 @@ func (n *Node) processToken(t token) {
 		t.Spent++
 		work = true
 	}
-	if drained > 0 {
-		// Compact without retaining delivered heads in the backing array.
-		rest := len(n.pending) - drained
-		copy(n.pending, n.pending[drained:])
-		for i := rest; i < len(n.pending); i++ {
-			n.pending[i] = nil
-		}
-		n.pending = n.pending[:rest]
-		n.pendingN.Store(int64(rest))
-	}
+	n.compactPending(drained)
 	n.tryDeliver()
 
 	// Stability accounting. Every node folds its own all-received-up-to
@@ -739,14 +716,14 @@ func (n *Node) processToken(t token) {
 	t.Skip = kept2
 
 	// The leader ages unsatisfied requests once per rotation; requests
-	// that survive SkipAge rotations are declared unrecoverable: no
+	// that survive skipAge rotations are declared unrecoverable: no
 	// surviving member holds the message (and therefore none delivered
 	// it), so agreement is preserved by skipping it everywhere.
 	if isLeader {
 		kept3 := t.Rtr[:0]
 		for _, e := range t.Rtr {
 			e.Age++
-			if int(e.Age) > n.cfg.SkipAge {
+			if int(e.Age) > skipAge {
 				t.Skip = append(t.Skip, e.Seq)
 				if e.Seq > n.deliveredSeq && !n.skipped[e.Seq] {
 					n.skipped[e.Seq] = true
@@ -778,7 +755,7 @@ func (n *Node) processToken(t token) {
 
 	// Forward immediately if this visit did work or left work pending;
 	// otherwise hold before forwarding so an idle ring does not spin.
-	// Within ActiveWindow of the last traffic the hold is cut to a
+	// Within eight IdleHolds of the last traffic the hold is cut to a
 	// quarter: a request submitted at any member mid-conversation meets
 	// the token after short holds instead of full idle holds, while the
 	// shortened hold still paces rotation enough that token processing
@@ -791,7 +768,7 @@ func (n *Node) processToken(t token) {
 		return
 	}
 	hold := n.cfg.IdleHold
-	if time.Since(n.lastTrafficAt) < n.cfg.ActiveWindow {
+	if time.Since(n.lastTrafficAt) < 8*n.cfg.IdleHold {
 		hold /= 4
 	}
 	n.holdUntil = time.Now().Add(hold)

@@ -2,7 +2,6 @@ package totem
 
 import (
 	"testing"
-	"time"
 
 	"eternalgw/internal/memnet"
 )
@@ -99,129 +98,100 @@ func TestPackingUnderLossyNetwork(t *testing.T) {
 	}
 }
 
-// TestPackingRespectsBounds checks the pack limits: MaxPackCount caps the
-// payloads per sequence number, and a payload larger than MaxPackBytes
-// still travels (alone).
+// TestPackingRespectsBounds pins the pack bounds that the ring drain
+// and both leader-mode paths share: MaxPackCount caps the payloads per
+// sequence number, a payload larger than MaxPackBytes still travels
+// (alone), and MaxPackCount 1 sends every payload plain under its own
+// sequence number. The leader case runs after the fast path promotes
+// and submits from a follower (forwarded batches) and from the
+// sequencer (batches it orders itself).
 func TestPackingRespectsBounds(t *testing.T) {
-	net := memnet.New()
-	ep, err := net.Attach("solo")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		nodes    int
+		ordering OrderingMode
+		count    int
+		bytes    int
+	}{
+		{"ring-count4-bytes64", 1, OrderingRing, 4, 64},
+		{"ring-count1-plain", 1, OrderingRing, 1, 0},
+		{"leader-count4-bytes64", 3, OrderingLeader, 4, 64},
 	}
-	cfg := fastConfig()
-	cfg.ID = "solo"
-	cfg.Endpoint = ep
-	cfg.Members = []memnet.NodeID{"solo"}
-	cfg.MaxPackCount = 4
-	cfg.MaxPackBytes = 64
-	n, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	deadline := time.After(5 * time.Second)
-	for installed := false; !installed; {
-		select {
-		case ev := <-n.Events():
-			installed = ev.Type == EventConfig
-		case <-deadline:
-			t.Fatal("no ring")
-		}
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newClusterCfg(t, tc.nodes, func(cfg *Config) {
+				cfg.Ordering = tc.ordering
+				cfg.MaxPackCount = tc.count
+				cfg.MaxPackBytes = tc.bytes
+			})
+			for _, id := range c.ids {
+				c.waitConfig(id, tc.nodes)
+			}
+			senders := []memnet.NodeID{c.ids[0]}
+			if tc.ordering == OrderingLeader {
+				leader, _ := c.waitFastpath()
+				senders = []memnet.NodeID{leader}
+				for _, id := range c.ids {
+					if id != leader {
+						senders = append(senders, id)
+						break
+					}
+				}
+			}
 
-	const small = 20
-	for i := 0; i < small; i++ {
-		if err := n.Multicast([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	big := make([]byte, 200) // > MaxPackBytes: must still travel
-	if err := n.Multicast(big); err != nil {
-		t.Fatal(err)
-	}
+			const small = 20
+			big := make([]byte, 200) // > MaxPackBytes: must still travel
+			for _, id := range senders {
+				for i := 0; i < small; i++ {
+					if err := c.nodes[id].Multicast([]byte{byte(i)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := c.nodes[id].Multicast(big); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	perSeq := make(map[uint64]int)
-	got := 0
-	deadline = time.After(5 * time.Second)
-	for got < small+1 {
-		select {
-		case ev := <-n.Events():
-			if ev.Type != EventDeliver {
-				continue
+			total := len(senders) * (small + 1)
+			perSeq := make(map[uint64]int)
+			perSender := make(map[memnet.NodeID]int)
+			var last uint64
+			for i, d := range c.collect(c.ids[0], total) {
+				perSeq[d.Seq]++
+				if perSender[d.Sender] == small && len(d.Payload) != len(big) {
+					t.Fatalf("oversized payload from %s arrived with %d bytes, want %d", d.Sender, len(d.Payload), len(big))
+				}
+				perSender[d.Sender]++
+				if tc.count == 1 {
+					if d.Sub != 0 {
+						t.Fatalf("MaxPackCount 1 but delivery has sub-index %d", d.Sub)
+					}
+					if i > 0 && d.Seq != last+1 {
+						t.Fatalf("non-contiguous seqs %d -> %d", last, d.Seq)
+					}
+				}
+				last = d.Seq
 			}
-			d := ev.Delivery
-			perSeq[d.Seq]++
-			if got == small && len(d.Payload) != len(big) {
-				t.Fatalf("oversized payload arrived with %d bytes, want %d", len(d.Payload), len(big))
+			for seq, parts := range perSeq {
+				if parts > tc.count {
+					t.Fatalf("seq %d carried %d payloads, cap is %d", seq, parts, tc.count)
+				}
 			}
-			got++
-		case <-deadline:
-			t.Fatalf("timed out after %d deliveries", got)
-		}
-	}
-	for seq, parts := range perSeq {
-		if parts > cfg.MaxPackCount {
-			t.Fatalf("seq %d carried %d payloads, cap is %d", seq, parts, cfg.MaxPackCount)
-		}
-	}
-}
-
-// TestDisablePackingDeliversPlain checks the ablation path: with packing
-// off every delivery is its own sequence number (Sub always zero).
-func TestDisablePackingDeliversPlain(t *testing.T) {
-	net := memnet.New()
-	ep, err := net.Attach("solo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig()
-	cfg.ID = "solo"
-	cfg.Endpoint = ep
-	cfg.Members = []memnet.NodeID{"solo"}
-	cfg.DisablePacking = true
-	n, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	deadline := time.After(5 * time.Second)
-	for installed := false; !installed; {
-		select {
-		case ev := <-n.Events():
-			installed = ev.Type == EventConfig
-		case <-deadline:
-			t.Fatal("no ring")
-		}
-	}
-	const total = 30
-	for i := 0; i < total; i++ {
-		if err := n.Multicast([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := 0
-	deadline = time.After(5 * time.Second)
-	var last uint64
-	for got < total {
-		select {
-		case ev := <-n.Events():
-			if ev.Type != EventDeliver {
-				continue
+			var packed uint64
+			for _, id := range senders {
+				st := c.nodes[id].Stats()
+				packed += st.PackedMsgs
+				if tc.ordering == OrderingLeader && st.Demotions != 0 {
+					t.Fatalf("%s demoted %d times; the leader paths went untested", id, st.Demotions)
+				}
 			}
-			d := ev.Delivery
-			if d.Sub != 0 {
-				t.Fatalf("packing disabled but delivery has sub-index %d", d.Sub)
+			if tc.ordering == OrderingLeader &&
+				(c.nodes[senders[0]].Stats().LeaderBatches == 0 || c.nodes[senders[1]].Stats().Forwarded == 0) {
+				t.Fatal("the submissions did not take the leader fast path")
 			}
-			if got > 0 && d.Seq != last+1 {
-				t.Fatalf("non-contiguous seqs %d -> %d", last, d.Seq)
+			if tc.count == 1 && packed != 0 {
+				t.Fatalf("packed %d messages with MaxPackCount 1", packed)
 			}
-			last = d.Seq
-			got++
-		case <-deadline:
-			t.Fatalf("timed out after %d deliveries", got)
-		}
-	}
-	if st := n.Stats(); st.PackedMsgs != 0 {
-		t.Fatalf("packed %d messages with packing disabled", st.PackedMsgs)
+		})
 	}
 }

@@ -5,7 +5,8 @@ package udpnet
 // Platforms without sendmmsg/recvmmsg (or whose syscall numbers this
 // package does not pin) fall back to the portable per-datagram path:
 // Broadcast frames and writes synchronously and the receive loop reads
-// one datagram per syscall, exactly as with Config.DisableBatching.
+// one datagram per syscall, the path Linux tests reach through
+// listen(..., batched=false).
 
 const batchSupported = false
 
@@ -14,22 +15,10 @@ type batchState struct{}
 
 func newBatchState(e *Endpoint) (*batchState, error) { return nil, nil }
 
+// sendFramesBatched is unreachable: listen never batches when
+// batchSupported is false, so the send loop never starts.
 func (e *Endpoint) sendFramesBatched(frames [][]byte) {
-	// Unreachable: the send loop only starts when batchSupported.
-	for _, f := range frames {
-		frame := make([]byte, 0, len(e.hdr)+len(f))
-		frame = append(append(frame, e.hdr...), f...)
-		for i := range e.peers {
-			if e.dropTx() {
-				continue
-			}
-			if _, err := e.conn.WriteToUDP(frame, e.peers[i].addr); err != nil {
-				e.txErrors.Add(1)
-				continue
-			}
-			e.txDatagrams.Add(1)
-		}
-	}
+	panic("udpnet: batched send on a platform without sendmmsg")
 }
 
 func (e *Endpoint) readLoopBatched() { e.readLoopSequential() }

@@ -17,9 +17,9 @@
 // linux), while the receive loop drains many datagrams per syscall
 // (recvmmsg) into pooled buffers. The sender-identity frame header is
 // precomputed once and sent as a separate iovec, so payload bytes are
-// never copied on the batched transmit path. DisableBatching reproduces
-// the original synchronous per-datagram transport for ablation
-// (scripts/benchudp.sh and BenchmarkGatewayMultiClientUDP A/B it).
+// never copied on the batched transmit path. Platforms without
+// sendmmsg/recvmmsg use the original synchronous per-datagram transport
+// instead (batch_other.go).
 //
 // Loss is expected and counted, never hidden: outbound-queue overflow,
 // inbox overflow, kernel truncation and malformed frames each have a
@@ -49,8 +49,11 @@ var ErrClosed = errors.New("udpnet: endpoint closed")
 const maxDatagram = 64 << 10
 
 const (
-	defaultInboxSize  = 4096
-	defaultOutboxSize = 4096
+	defaultInboxSize = 4096
+	// outboxSize bounds the batched path's outbound queue between
+	// Broadcast and the send loop; overflow drops are counted
+	// (best-effort, like a full socket buffer).
+	outboxSize = 4096
 	// sendGather bounds how many queued payloads one send-loop flush
 	// drains; each flush transmits len(frames)×len(peers) datagrams.
 	sendGather = 64
@@ -79,15 +82,6 @@ type Config struct {
 	// reader and the protocol; overflow drops are counted. Zero means
 	// 4096.
 	InboxSize int
-	// OutboxSize bounds the outbound queue between Broadcast and the
-	// send loop; overflow drops are counted (best-effort, like a full
-	// socket buffer). Zero means 4096. Ignored with DisableBatching.
-	OutboxSize int
-	// DisableBatching turns off syscall amortization: Broadcast frames
-	// and writes one datagram per peer synchronously on the caller's
-	// goroutine, and the receive loop reads one datagram per syscall —
-	// the transport's original shape, kept for ablation benchmarks.
-	DisableBatching bool
 	// LossRate, when in (0,1], drops that fraction of outbound peer
 	// datagrams before they reach the socket, deterministically from
 	// LossSeed. Self-delivery is never dropped. This exists so tests can
@@ -166,6 +160,13 @@ func Listen(id memnet.NodeID, registry Registry) (*Endpoint, error) {
 
 // ListenConfig is Listen with explicit tuning.
 func ListenConfig(id memnet.NodeID, registry Registry, cfg Config) (*Endpoint, error) {
+	return listen(id, registry, cfg, batchSupported)
+}
+
+// listen binds an endpoint, amortizing syscalls when batched is set and
+// the platform supports it. Tests pass batched=false to run the
+// per-datagram path on platforms that would otherwise batch.
+func listen(id memnet.NodeID, registry Registry, cfg Config, batched bool) (*Endpoint, error) {
 	self, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("udpnet: node %q not in registry", id)
@@ -194,17 +195,13 @@ func ListenConfig(id memnet.NodeID, registry Registry, cfg Config) (*Endpoint, e
 	if inboxSize <= 0 {
 		inboxSize = defaultInboxSize
 	}
-	outboxSize := cfg.OutboxSize
-	if outboxSize <= 0 {
-		outboxSize = defaultOutboxSize
-	}
 	idb := []byte(id)
 	e := &Endpoint{
 		id:      id,
 		conn:    conn,
 		hdr:     append([]byte{byte(len(idb) >> 8), byte(len(idb))}, idb...),
 		inbox:   make(chan memnet.Packet, inboxSize),
-		batched: !cfg.DisableBatching && batchSupported,
+		batched: batched && batchSupported,
 		quit:    make(chan struct{}),
 	}
 	if cfg.LossRate > 0 {
@@ -262,7 +259,7 @@ func (e *Endpoint) ID() memnet.NodeID { return e.id }
 func (e *Endpoint) Recv() <-chan memnet.Packet { return e.inbox }
 
 // Batched reports whether the endpoint amortizes syscalls (false on
-// platforms without sendmmsg/recvmmsg or with DisableBatching).
+// platforms without sendmmsg/recvmmsg).
 func (e *Endpoint) Batched() bool { return e.batched }
 
 // Broadcast implements totem.Transport: one datagram to every peer plus
@@ -284,8 +281,8 @@ func (e *Endpoint) Broadcast(payload []byte) error {
 		e.deliverLocal(payload)
 		return nil
 	}
-	// Per-datagram ablation path: frame into a fresh buffer and issue
-	// one blocking syscall per peer on the caller's goroutine — the
+	// Per-datagram path: frame into a fresh buffer and issue one
+	// blocking syscall per peer on the caller's goroutine — the
 	// transport's original shape.
 	frame := make([]byte, 0, len(e.hdr)+len(payload))
 	frame = append(append(frame, e.hdr...), payload...)
@@ -372,9 +369,8 @@ flush:
 	e.gather = frames
 }
 
-// readLoopSequential is the per-datagram receive path (ablation mode and
-// platforms without recvmmsg): one syscall and one pooled buffer per
-// datagram.
+// readLoopSequential is the per-datagram receive path (platforms
+// without recvmmsg): one syscall and one pooled buffer per datagram.
 func (e *Endpoint) readLoopSequential() {
 	defer e.wg.Done()
 	buf := make([]byte, maxDatagram)

@@ -99,19 +99,19 @@ func TestBroadcastAfterClose(t *testing.T) {
 
 // TestTotemRingOverUDP runs a full totem ring over real UDP sockets:
 // the protocol must install a ring and deliver in identical total order
-// at every member — on the batched (sendmmsg/recvmmsg) datapath and on
-// the per-datagram ablation path.
+// at every member — on the platform's default datapath (sendmmsg/recvmmsg
+// on linux) and on the portable per-datagram path.
 func TestTotemRingOverUDP(t *testing.T) {
-	t.Run("batched", func(t *testing.T) { testTotemRingOverUDP(t, Config{}) })
-	t.Run("perdatagram", func(t *testing.T) { testTotemRingOverUDP(t, Config{DisableBatching: true}) })
+	t.Run("batched", func(t *testing.T) { testTotemRingOverUDP(t, batchSupported) })
+	t.Run("perdatagram", func(t *testing.T) { testTotemRingOverUDP(t, false) })
 }
 
-func testTotemRingOverUDP(t *testing.T, cfg Config) {
+func testTotemRingOverUDP(t *testing.T, batched bool) {
 	ids := []memnet.NodeID{"u0", "u1", "u2"}
 	reg := freeRegistry(t, ids...)
 	nodes := make(map[memnet.NodeID]*totem.Node, len(ids))
 	for _, id := range ids {
-		ep, err := ListenConfig(id, reg, cfg)
+		ep, err := listen(id, reg, Config{}, batched)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,14 +97,14 @@ END {
     # directly: "Leader" rows against their ring-mode row (e.g.
     # GatewayRoundTripLeader/small vs GatewayRoundTrip/small), and
     # real-socket UDP rows against the memnet row of the same shape (e.g.
-    # GatewayMultiClientUDP/batched/c=16/small vs
+    # GatewayMultiClientUDP/c=16/small vs
     # GatewayMultiClient/c=16/small — the price of a real network).
     for (i = 1; i <= an; i++) {
         k = aorder[i]
         if (k in bcnt) continue
         base = k
         sub(/Leader/, "", base)
-        if (base == k) sub(/UDP\/(batched|perdatagram)/, "", base)
+        if (base == k) sub(/UDP\//, "/", base)
         if (base != k && (base in bcnt)) {
             b = mean(bsum, bcnt, base); a = mean(asum, acnt, k)
             printf "%-52s %14d %14d %8.2fx\n", k " (vs " base ")", b, a, b / a
