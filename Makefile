@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fast race check sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-baseline bench-compare bench-udp clean
+.PHONY: build test vet lint lint-fast deps race check sim sim-long fuzz-smoke soak soak-reconfig soak-leader smoke-udp bench bench-smoke bench-baseline bench-compare bench-udp clean
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,16 @@ lint-fast:
 	$(GO) build -o bin/gwlint ./cmd/gwlint
 	$(GO) vet -vettool=$(CURDIR)/bin/gwlint ./...
 
+# deps fails if the production daemon links experiment or simulation
+# code: fault injection, the deterministic simulator or the gwlint
+# analyzers. The daemon's import graph should hold only the datapath.
+DAEMON_FORBIDDEN_DEPS = eternalgw/internal/faultinject eternalgw/internal/sim eternalgw/internal/analysis
+deps:
+	@deps=$$($(GO) list -deps ./cmd/ftdomaind) || exit 1; \
+	bad=0; for p in $(DAEMON_FORBIDDEN_DEPS); do \
+		if echo "$$deps" | grep -qE "^$$p(/|$$)"; then echo "cmd/ftdomaind links $$p"; bad=1; fi; \
+	done; exit $$bad
+
 # race runs the whole test suite under the race detector. (It was a
 # recipe-less phony target for a while, which made `make check` pass
 # without running any tests.)
@@ -43,8 +53,8 @@ race:
 # soaks at a higher repetition count than one `go test` pass gives
 # them, the multi-process UDP deployment smoke, and a one-iteration
 # benchmark smoke so a change that breaks benchmark setup (but not the
-# tests) cannot land silently.
-check: vet lint race sim fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke
+# tests) cannot land silently, and the daemon dependency check.
+check: vet lint deps race sim fuzz-smoke soak-reconfig soak-leader smoke-udp bench-smoke
 
 # sim sweeps the deterministic simulation harness (internal/sim,
 # docs/SIMULATION.md) over a bounded seed budget across every schedule

@@ -36,12 +36,9 @@ func benchDomain(b *testing.B, nodes int) *domain.Domain {
 		Name:  "bench",
 		Nodes: nodes,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -277,14 +274,11 @@ func BenchmarkE5GatewayLoopsInstrumented(b *testing.B) {
 		Name:  "bench",
 		Nodes: 3,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 10 * time.Second,
-		Metrics:              obs.NewRegistry(),
-		Tracer:               nil, // disabled: the hot path pays one nil check per hop
+		Metrics: obs.NewRegistry(),
+		Tracer:  nil, // disabled: the hot path pays one nil check per hop
 	})
 	if err != nil {
 		b.Fatal(err)

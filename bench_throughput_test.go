@@ -78,13 +78,10 @@ func benchDomainOrdering(b *testing.B, nodes int, mode totem.OrderingMode) *doma
 		Name:  "bench",
 		Nodes: nodes,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
-			Ordering:        mode,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
+			Ordering:      mode,
 		},
-		GatewayInvokeTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -211,12 +208,9 @@ func benchDomainUDP(b *testing.B, nodes int) *domain.Domain {
 		Name:  "bench",
 		Nodes: nodes,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 10 * time.Second,
 		TransportFactory: func(id memnet.NodeID) (totem.Transport, error) {
 			return udpnet.Listen(id, registry)
 		},

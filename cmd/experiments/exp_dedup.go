@@ -1,7 +1,8 @@
-package experiments
+package main
 
 import (
 	"bytes"
+	"eternalgw/internal/experiments"
 	"fmt"
 	"sync"
 	"time"
@@ -39,7 +40,7 @@ func runE3DuplicateSuppression(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 		for i := 0; i < ops; i++ {
-			if _, err := conn.Call([]byte(expServerKey), "append", OctetSeqArg([]byte("x")), orb.InvokeOptions{}); err != nil {
+			if _, err := conn.Call([]byte(expServerKey), "append", experiments.OctetSeqArg([]byte("x")), orb.InvokeOptions{}); err != nil {
 				_ = conn.Close()
 				d.Close()
 				return Result{}, err
@@ -82,7 +83,7 @@ func runE3DuplicateSuppression(cfg Config) (Result, error) {
 	}, nil
 }
 
-// opIDRecorder wraps a RegisterApp and records the operation identifier
+// opIDRecorder wraps a experiments.RegisterApp and records the operation identifier
 // stream its replica observes, via the replication observer.
 type opIDRecorder struct {
 	mu  sync.Mutex
@@ -115,7 +116,7 @@ func (a *relayRegister) Invoke(op string, args *cdr.Reader, reply *cdr.Writer) e
 	if err := args.Err(); err != nil {
 		return err
 	}
-	r, err := a.h.Invoke([]byte("exp/nested"), "append", OctetSeqArg(payload), 10*time.Second)
+	r, err := a.h.Invoke([]byte("exp/nested"), "append", experiments.OctetSeqArg(payload), 10*time.Second)
 	if err != nil {
 		return err
 	}
@@ -186,7 +187,7 @@ func runE6OperationIdentifiers(cfg Config) (Result, error) {
 	}
 	defer func() { _ = conn.Close() }()
 	for i := 0; i < ops; i++ {
-		if _, err := conn.Call([]byte("exp/front"), "relay", OctetSeqArg([]byte("n")), orb.InvokeOptions{}); err != nil {
+		if _, err := conn.Call([]byte("exp/front"), "relay", experiments.OctetSeqArg([]byte("n")), orb.InvokeOptions{}); err != nil {
 			return Result{}, err
 		}
 	}
@@ -263,7 +264,7 @@ func runE11ReplicaConsistency(cfg Config) (Result, error) {
 			}
 			defer func() { _ = conn.Close() }()
 			for i := 0; i < per; i++ {
-				if _, err := conn.Call([]byte(expServerKey), "append", OctetSeqArg([]byte{tag}), orb.InvokeOptions{}); err != nil {
+				if _, err := conn.Call([]byte(expServerKey), "append", experiments.OctetSeqArg([]byte{tag}), orb.InvokeOptions{}); err != nil {
 					errCh <- err
 					return
 				}

@@ -1,6 +1,7 @@
-package experiments
+package main
 
 import (
+	"eternalgw/internal/experiments"
 	"fmt"
 	"time"
 
@@ -45,7 +46,7 @@ func runE7SingleGatewayFailure(cfg Config) (Result, error) {
 	completed, abandoned := 0, 0
 	var pendingResend []pendingReq
 	for i := 1; i <= killAt-1; i++ {
-		_, err := conn.Call([]byte(expServerKey), "append", OctetSeqArg([]byte("x")), orb.InvokeOptions{RequestID: uint32(i), Timeout: 2 * time.Second})
+		_, err := conn.Call([]byte(expServerKey), "append", experiments.OctetSeqArg([]byte("x")), orb.InvokeOptions{RequestID: uint32(i), Timeout: 2 * time.Second})
 		if err != nil {
 			return Result{}, err
 		}
@@ -58,7 +59,7 @@ func runE7SingleGatewayFailure(cfg Config) (Result, error) {
 	// connection — the fate of the request is unknowable to it.
 	inFlight := make(chan error, 1)
 	go func() {
-		_, err := conn.Call([]byte(expServerKey), "work", WorkArg(150, []byte("x")), orb.InvokeOptions{RequestID: uint32(killAt), Timeout: 2 * time.Second})
+		_, err := conn.Call([]byte(expServerKey), "work", experiments.WorkArg(150, []byte("x")), orb.InvokeOptions{RequestID: uint32(killAt), Timeout: 2 * time.Second})
 		inFlight <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let it reach the domain
@@ -67,17 +68,17 @@ func runE7SingleGatewayFailure(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("in-flight request survived the gateway failure")
 	}
 	abandoned++
-	pendingResend = append(pendingResend, pendingReq{id: uint32(killAt), op: "work", args: WorkArg(150, []byte("x"))})
+	pendingResend = append(pendingResend, pendingReq{id: uint32(killAt), op: "work", args: experiments.WorkArg(150, []byte("x"))})
 
 	// Requests after the failure also fail: the single gateway was the
 	// only way in.
 	for i := killAt + 1; i <= total; i++ {
-		_, err := conn.Call([]byte(expServerKey), "append", OctetSeqArg([]byte("x")), orb.InvokeOptions{RequestID: uint32(i), Timeout: 300 * time.Millisecond})
+		_, err := conn.Call([]byte(expServerKey), "append", experiments.OctetSeqArg([]byte("x")), orb.InvokeOptions{RequestID: uint32(i), Timeout: 300 * time.Millisecond})
 		if err == nil {
 			return Result{}, fmt.Errorf("request through dead gateway succeeded")
 		}
 		abandoned++
-		pendingResend = append(pendingResend, pendingReq{id: uint32(i), op: "append", args: OctetSeqArg([]byte("x"))})
+		pendingResend = append(pendingResend, pendingReq{id: uint32(i), op: "append", args: experiments.OctetSeqArg([]byte("x"))})
 	}
 
 	// The gateway recovers; the client reconnects and resends every
@@ -102,13 +103,11 @@ func runE7SingleGatewayFailure(cfg Config) (Result, error) {
 	}
 
 	// Count how many operations actually executed: anything beyond the
-	// client's distinct requests is a duplicate.
+	// client's distinct requests is a duplicate. The client's last resend
+	// returned with the first replica's reply, so a slower replica may
+	// still be one operation short: wait until the replicas agree.
 	distinct := int64(completed + len(pendingResend))
-	deadline := time.Now().Add(3 * time.Second)
-	for apps[0].Ops() < distinct && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	executed := apps[0].Ops()
+	executed := settledOps(apps, distinct, 3*time.Second)
 	reExecuted := executed - distinct
 	if reExecuted < 0 {
 		reExecuted = 0
@@ -186,7 +185,7 @@ func runE8GatewayFailover(cfg Config) (Result, error) {
 	for i := 1; i <= total; i++ {
 		plan.Tick()
 		start := time.Now()
-		r, err := c.Call("append", OctetSeqArg([]byte("x")))
+		r, err := c.Call("append", experiments.OctetSeqArg([]byte("x")))
 		if err != nil {
 			return Result{}, fmt.Errorf("call %d lost: %w", i, err)
 		}
@@ -255,7 +254,7 @@ func runE9ReplicationStyles(cfg Config) (Result, error) {
 		invoke := func(reqID uint32, op string) error {
 			_, err := rm.Invoke(1, 5, expServerGroup,
 				replication.OperationID{ChildSeq: reqID},
-				giop.Request{RequestID: reqID, ResponseExpected: true, ObjectKey: []byte(expServerKey), Operation: op, Args: OctetSeqArg([]byte("x"))},
+				giop.Request{RequestID: reqID, ResponseExpected: true, ObjectKey: []byte(expServerKey), Operation: op, Args: experiments.OctetSeqArg([]byte("x"))},
 				10*time.Second)
 			return err
 		}
@@ -347,7 +346,7 @@ func runE12StateTransfer(cfg Config) (Result, error) {
 		// Load the state.
 		_, err = rm.Invoke(1, 5, expServerGroup,
 			replication.OperationID{ChildSeq: 1},
-			giop.Request{RequestID: 1, ResponseExpected: true, ObjectKey: []byte(expServerKey), Operation: "set", Args: OctetSeqArg(make([]byte, size))},
+			giop.Request{RequestID: 1, ResponseExpected: true, ObjectKey: []byte(expServerKey), Operation: "set", Args: experiments.OctetSeqArg(make([]byte, size))},
 			10*time.Second)
 		if err != nil {
 			d.Close()
@@ -355,7 +354,7 @@ func runE12StateTransfer(cfg Config) (Result, error) {
 		}
 
 		// New replica joins; measure join -> synced.
-		joiner := &RegisterApp{}
+		joiner := &experiments.RegisterApp{}
 		start := time.Now()
 		if err := d.Node(1).RM.JoinGroup(expServerGroup, joiner); err != nil {
 			d.Close()

@@ -1,23 +1,21 @@
-// Package experiments implements the reproduction harness: one
-// experiment per figure and per evaluated claim of the paper, as indexed
-// in DESIGN.md section 4. Each experiment builds the domains it needs,
-// runs its workload, and returns a table; cmd/experiments prints every
-// table, and the repository-root benchmarks exercise the same paths
-// under testing.B.
-//
-// The paper is a design paper without measured tables, so "reproducing"
-// an experiment means demonstrating the mechanism each figure describes
-// and measuring its behaviour on this implementation (absolute numbers
-// reflect the in-process simulation, not the authors' 1990s testbed; the
-// shapes are what carries over — see EXPERIMENTS.md).
-package experiments
+// This file holds the reproduction harness: one experiment per figure
+// and per evaluated claim of the paper, as indexed in DESIGN.md section
+// 4. Each experiment builds the domains it needs, runs its workload, and
+// returns a table; main prints every table, and the repository-root
+// benchmarks exercise the same paths under testing.B.
+
+package main
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"eternalgw/internal/domain"
+	"eternalgw/internal/experiments"
+	"eternalgw/internal/ftmgmt"
+	"eternalgw/internal/replication"
 	"eternalgw/internal/totem"
 )
 
@@ -144,22 +142,57 @@ func Format(r Result) string {
 	return b.String()
 }
 
-// fastTotem returns the protocol timeouts every experiment domain uses.
-func fastTotem() totem.Config {
-	return totem.Config{
-		IdleHold:        100 * time.Microsecond,
-		TokenRetransmit: 10 * time.Millisecond,
-		FailTimeout:     80 * time.Millisecond,
-		GatherTimeout:   20 * time.Millisecond,
-	}
-}
-
-// newDomain builds an experiment domain.
+// newDomain builds an experiment domain with fast failure-detector
+// timings.
 func newDomain(name string, nodes int) (*domain.Domain, error) {
 	return domain.New(domain.Config{
-		Name:                 name,
-		Nodes:                nodes,
-		Totem:                fastTotem(),
-		GatewayInvokeTimeout: 10 * time.Second,
+		Name:  name,
+		Nodes: nodes,
+		Totem: totem.Config{FailTimeout: 80 * time.Millisecond, GatherTimeout: 20 * time.Millisecond},
 	})
+}
+
+// deployRegisters places a replicated RegisterApp and returns the
+// replica instances.
+func deployRegisters(d *domain.Domain, grp replication.GroupID, key string, style replication.Style, replicas int) ([]*experiments.RegisterApp, error) {
+	var (
+		mu   sync.Mutex
+		apps []*experiments.RegisterApp
+	)
+	err := d.Manager().CreateReplicatedObject(grp, ftmgmt.Properties{
+		Style:           style,
+		InitialReplicas: replicas,
+		MinReplicas:     replicas,
+		ObjectKey:       []byte(key),
+		TypeID:          "IDL:eternalgw/Register:1.0",
+	}, func() (replication.Application, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		app := &experiments.RegisterApp{}
+		apps = append(apps, app)
+		return app, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return apps, nil
+}
+
+// settledOps waits, up to timeout, until every replica has executed at
+// least atLeast operations and all report the same count, and returns the
+// count of the first replica. Replicas of one group execute the same
+// totally ordered sequence, so agreement means none is still catching up.
+func settledOps(apps []*experiments.RegisterApp, atLeast int64, timeout time.Duration) int64 {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		n, agreed := apps[0].Ops(), true
+		for _, a := range apps[1:] {
+			agreed = agreed && a.Ops() == n
+		}
+		if agreed && n >= atLeast {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return apps[0].Ops()
 }

@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"strconv"
@@ -74,7 +74,7 @@ func TestE7ShapeShowsAbandonment(t *testing.T) {
 		t.Error("expected abandoned requests with a single gateway")
 	}
 	if vals["re-executions (state corruption risk)"] == "0" {
-		t.Error("expected the in-flight operation to execute twice")
+		t.Errorf("expected the in-flight operation to execute twice; rows %v", res.Rows)
 	}
 }
 

@@ -7,6 +7,12 @@
 //	experiments            # run everything at full scale
 //	experiments -quick     # reduced workloads (seconds instead of minutes)
 //	experiments -run E3,E8 # only the named experiments
+//
+// The paper is a design paper without measured tables, so "reproducing"
+// an experiment means demonstrating the mechanism each figure describes
+// and measuring its behaviour on this implementation (absolute numbers
+// reflect the in-process simulation, not the authors' 1990s testbed; the
+// shapes are what carries over — see EXPERIMENTS.md).
 package main
 
 import (
@@ -15,8 +21,6 @@ import (
 	"os"
 	"strings"
 	"time"
-
-	"eternalgw/internal/experiments"
 )
 
 func main() {
@@ -31,13 +35,13 @@ func main() {
 }
 
 func realMain(quick bool, run string, markdown bool) error {
-	cfg := experiments.Config{Quick: quick}
-	var selected []experiments.Runner
+	cfg := Config{Quick: quick}
+	var selected []Runner
 	if run == "" {
-		selected = experiments.All()
+		selected = All()
 	} else {
 		for _, id := range strings.Split(run, ",") {
-			r, ok := experiments.ByID(strings.TrimSpace(id))
+			r, ok := ByID(strings.TrimSpace(id))
 			if !ok {
 				return fmt.Errorf("unknown experiment %q", id)
 			}
@@ -54,10 +58,10 @@ func realMain(quick bool, run string, markdown bool) error {
 			continue
 		}
 		if markdown {
-			fmt.Print(experiments.FormatMarkdown(res))
+			fmt.Print(FormatMarkdown(res))
 			fmt.Printf("\n*(completed in %v)*\n\n", time.Since(start).Round(time.Millisecond))
 		} else {
-			fmt.Print(experiments.Format(res))
+			fmt.Print(Format(res))
 			fmt.Printf("(completed in %v)\n\n", time.Since(start).Round(time.Millisecond))
 		}
 	}

@@ -550,7 +550,6 @@ func runNode(o nodeOpts) error {
 	defer func() { _ = ep.Close() }()
 	fmt.Printf("node %s: UDP endpoint %s (batched=%v), ring of %d\n", id, ep.Addr(), ep.Batched(), len(ids))
 	tn, err := totem.Start(totem.Config{
-		ID:       id,
 		Endpoint: ep,
 		Members:  ids,
 		Ordering: orderingMode,
@@ -560,7 +559,7 @@ func runNode(o nodeOpts) error {
 		return err
 	}
 	defer tn.Stop()
-	rcfg := replication.Config{Node: tn, NodeID: id, Metrics: metrics}
+	rcfg := replication.Config{Node: tn, Metrics: metrics}
 	if o.quorum {
 		rcfg.QuorumOf = len(ids)
 	}

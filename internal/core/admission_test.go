@@ -277,6 +277,14 @@ func TestGatewayDrainShedsNewRequests(t *testing.T) {
 	if _, err := conn.Call([]byte(keyRegister), "ops", nil, orb.InvokeOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	// The first call's reply reaches the client just before the gateway
+	// retires it from the in-flight count; wait for that, so the wait
+	// for one in-flight request below sees the long call, not this one.
+	for deadline := time.Now().Add(3 * time.Second); gw.InFlight() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight = %d after the first call returned", gw.InFlight())
+		}
+	}
 	// Begin the drain concurrently with a long in-flight call so the
 	// established connection is still open to observe the shed.
 	hold, err := orb.Dial(gw.Addr())

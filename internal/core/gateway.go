@@ -76,8 +76,6 @@ type Config struct {
 	// ListenAddr is the external TCP endpoint ("host:port", empty for
 	// 127.0.0.1:0).
 	ListenAddr string
-	// InvokeTimeout bounds each forwarded invocation. Zero means 10s.
-	InvokeTimeout time.Duration
 	// Log receives diagnostics (tagged component=gateway); nil discards
 	// them.
 	Log *obs.Logger
@@ -201,9 +199,6 @@ type Gateway struct {
 func New(cfg Config) (*Gateway, error) {
 	if cfg.RM == nil {
 		return nil, errors.New("gateway: config needs replication mechanisms")
-	}
-	if cfg.InvokeTimeout == 0 {
-		cfg.InvokeTimeout = 10 * time.Second
 	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
@@ -716,7 +711,7 @@ func (cc *clientConn) handleRequest(msg giop.Message, req giop.Request, arrived 
 		}
 		return
 	}
-	rep, err := gw.rm.Invoke(gw.cfg.Group, clientID, group, op, req, gw.cfg.InvokeTimeout)
+	rep, err := gw.rm.Invoke(gw.cfg.Group, clientID, group, op, req, replication.DefaultInvokeTimeout)
 	if err != nil {
 		gw.requestsAbandoned.Add(1)
 		gw.exceptions.Add(1)

@@ -29,12 +29,9 @@ func fastDomain(t *testing.T, name string, nodes int) *domain.Domain {
 		Name:  name,
 		Nodes: nodes,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,14 +24,11 @@ func obsDomain(t *testing.T, name string, nodes int, reg *obs.Registry, tracer *
 		Name:  name,
 		Nodes: nodes,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 5 * time.Second,
-		Metrics:              reg,
-		Tracer:               tracer,
+		Metrics: reg,
+		Tracer:  tracer,
 	})
 	if err != nil {
 		t.Fatal(err)

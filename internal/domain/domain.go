@@ -42,8 +42,6 @@ type Config struct {
 	Totem totem.Config
 	// Replication overrides mechanism tuning; zero values use defaults.
 	Replication replication.Config
-	// GatewayInvokeTimeout bounds invocations forwarded by gateways.
-	GatewayInvokeTimeout time.Duration
 	// Admission, when set, is the admission-control template applied to
 	// every gateway added with AddGateway: each gateway gets its own
 	// controller built from a copy of this config, with the breaker's
@@ -136,7 +134,6 @@ func New(cfg Config) (*Domain, error) {
 			return nil, err
 		}
 		tcfg := cfg.Totem
-		tcfg.ID = id
 		tcfg.Endpoint = ep
 		tcfg.Members = ids
 		tcfg.Metrics = cfg.Metrics
@@ -147,7 +144,6 @@ func New(cfg Config) (*Domain, error) {
 		}
 		rcfg := cfg.Replication
 		rcfg.Node = tn
-		rcfg.NodeID = id
 		rcfg.Metrics = cfg.Metrics
 		rcfg.Tracer = cfg.Tracer
 		rm, err := replication.New(rcfg)
@@ -218,14 +214,13 @@ func (d *Domain) AddGatewayAdmission(i int, addr string, ac *admission.Config) (
 		adm = admission.New(cfg)
 	}
 	gw, err := core.New(core.Config{
-		RM:            n.RM,
-		Group:         DefaultGatewayGroup,
-		ListenAddr:    addr,
-		InvokeTimeout: d.cfg.GatewayInvokeTimeout,
-		Admission:     adm,
-		Metrics:       d.cfg.Metrics,
-		Tracer:        d.cfg.Tracer,
-		Log:           d.cfg.Log,
+		RM:         n.RM,
+		Group:      DefaultGatewayGroup,
+		ListenAddr: addr,
+		Admission:  adm,
+		Metrics:    d.cfg.Metrics,
+		Tracer:     d.cfg.Tracer,
+		Log:        d.cfg.Log,
 	})
 	if err != nil {
 		return nil, err

@@ -18,20 +18,17 @@ import (
 
 func fastTotem() totem.Config {
 	return totem.Config{
-		IdleHold:        100 * time.Microsecond,
-		TokenRetransmit: 10 * time.Millisecond,
-		FailTimeout:     80 * time.Millisecond,
-		GatherTimeout:   20 * time.Millisecond,
+		FailTimeout:   80 * time.Millisecond,
+		GatherTimeout: 20 * time.Millisecond,
 	}
 }
 
 func newDomain(t *testing.T, name string, nodes int) *domain.Domain {
 	t.Helper()
 	d, err := domain.New(domain.Config{
-		Name:                 name,
-		Nodes:                nodes,
-		Totem:                fastTotem(),
-		GatewayInvokeTimeout: 5 * time.Second,
+		Name:  name,
+		Nodes: nodes,
+		Totem: fastTotem(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,10 +315,9 @@ func TestPublishedIORCarriesDomainComponents(t *testing.T) {
 func TestRemoveGatewayRepublishesAndReleasesMembership(t *testing.T) {
 	updates := make(chan ior.Ref, 8)
 	d, err := domain.New(domain.Config{
-		Name:                 "rgw",
-		Nodes:                3,
-		Totem:                fastTotem(),
-		GatewayInvokeTimeout: 5 * time.Second,
+		Name:  "rgw",
+		Nodes: 3,
+		Totem: fastTotem(),
 		OnIORUpdate: func(objectKey []byte, ref ior.Ref) {
 			if string(objectKey) != "app/adder" {
 				t.Errorf("update for unexpected key %q", objectKey)

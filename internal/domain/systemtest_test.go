@@ -176,7 +176,6 @@ func TestDomainOverUDPTransport(t *testing.T) {
 		TransportFactory: func(id memnet.NodeID) (totem.Transport, error) {
 			return udpnet.Listen(id, registry)
 		},
-		GatewayInvokeTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

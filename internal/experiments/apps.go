@@ -1,3 +1,9 @@
+// Package experiments holds the deterministic workload servant that the
+// reproduction suite (cmd/experiments), the benchmarks, perfbench and
+// the demo object of cmd/ftdomaind share, with helpers that encode its
+// operations' arguments. It imports nothing beyond the CDR codec, so
+// the production daemon links no experiment runner or fault injector
+// through it.
 package experiments
 
 import (
@@ -6,14 +12,11 @@ import (
 	"time"
 
 	"eternalgw/internal/cdr"
-	"eternalgw/internal/domain"
-	"eternalgw/internal/ftmgmt"
-	"eternalgw/internal/replication"
 )
 
 // RegisterApp is the deterministic workload object used by most
-// experiments: a byte register with an operation counter. It is exported
-// so examples and benchmarks can reuse it.
+// experiments: a byte register with an operation counter. It implements
+// replication.Application.
 type RegisterApp struct {
 	mu    sync.Mutex
 	value []byte
@@ -115,30 +118,4 @@ func OctetSeqArg(b []byte) []byte {
 	w := cdr.NewWriter(cdr.BigEndian)
 	w.WriteOctetSeq(b)
 	return w.Bytes()
-}
-
-// deployRegisters places a replicated RegisterApp and returns the
-// replica instances.
-func deployRegisters(d *domain.Domain, grp replication.GroupID, key string, style replication.Style, replicas int) ([]*RegisterApp, error) {
-	var (
-		mu   sync.Mutex
-		apps []*RegisterApp
-	)
-	err := d.Manager().CreateReplicatedObject(grp, ftmgmt.Properties{
-		Style:           style,
-		InitialReplicas: replicas,
-		MinReplicas:     replicas,
-		ObjectKey:       []byte(key),
-		TypeID:          "IDL:eternalgw/Register:1.0",
-	}, func() (replication.Application, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		app := &RegisterApp{}
-		apps = append(apps, app)
-		return app, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return apps, nil
 }

@@ -86,10 +86,8 @@ func TestDiverterRoutesThroughInfrastructure(t *testing.T) {
 		Name:  "dv",
 		Nodes: 3,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -150,10 +148,8 @@ func TestDiverterUnknownKey(t *testing.T) {
 		Name:  "dv2",
 		Nodes: 1,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
 	})
 	if err != nil {

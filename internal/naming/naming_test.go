@@ -24,12 +24,9 @@ func newDomainWithNaming(t *testing.T, nodes, replicas int) (*domain.Domain, *na
 		Name:  "ns",
 		Nodes: nodes,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,10 +31,8 @@ func fastDomain(t *testing.T, nodes int) *domain.Domain {
 		Name:  "reconfig",
 		Nodes: nodes,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
 		Replication: replication.Config{CheckpointInterval: cpInterval},
 	})

@@ -37,7 +37,7 @@ func TestDedupCacheEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := startTotem(t, id, ep, ids)
+		node, err := startTotem(t, ep, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestQuorumProtectionBlocksMinority(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := startTotem(t, id, ep, ids)
+		node, err := startTotem(t, ep, ids)
 		if err != nil {
 			t.Fatal(err)
 		}

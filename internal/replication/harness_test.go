@@ -38,13 +38,10 @@ func newDomain(t *testing.T, n int, opts ...memnet.Option) *domain {
 			t.Fatal(err)
 		}
 		node, err := totem.Start(totem.Config{
-			ID:              id,
-			Endpoint:        ep,
-			Members:         d.ids,
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			Endpoint:      ep,
+			Members:       d.ids,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -157,16 +154,13 @@ func octets(b []byte) []byte {
 }
 
 // startTotem boots a totem node with test timeouts.
-func startTotem(t *testing.T, id memnet.NodeID, ep *memnet.Endpoint, members []memnet.NodeID) (*totem.Node, error) {
+func startTotem(t *testing.T, ep *memnet.Endpoint, members []memnet.NodeID) (*totem.Node, error) {
 	t.Helper()
 	node, err := totem.Start(totem.Config{
-		ID:              id,
-		Endpoint:        ep,
-		Members:         members,
-		IdleHold:        100 * time.Microsecond,
-		TokenRetransmit: 10 * time.Millisecond,
-		FailTimeout:     80 * time.Millisecond,
-		GatherTimeout:   20 * time.Millisecond,
+		Endpoint:      ep,
+		Members:       members,
+		FailTimeout:   80 * time.Millisecond,
+		GatherTimeout: 20 * time.Millisecond,
 	})
 	if err == nil {
 		t.Cleanup(node.Stop)

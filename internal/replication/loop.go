@@ -170,7 +170,7 @@ func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID, ts uint64) boo
 	g.members = append(g.members, node)
 	first := len(g.members) == 1
 
-	if node == m.cfg.NodeID {
+	if node == m.id {
 		app, armed := m.prearmed[g.id]
 		if !armed {
 			// A join we never prearmed (e.g. replayed from before a
@@ -193,8 +193,8 @@ func (m *Mechanisms) addMember(g *groupState, node memnet.NodeID, ts uint64) boo
 	}
 
 	// The donor (current primary) captures state for a joining servant.
-	if !first && len(g.members) > 0 && g.members[0] == m.cfg.NodeID &&
-		g.local != nil && g.local.app != nil && node != m.cfg.NodeID {
+	if !first && len(g.members) > 0 && g.members[0] == m.id &&
+		g.local != nil && g.local.app != nil && node != m.id {
 		g.local.push(task{kind: taskCaptureState, joiner: node, ts: ts})
 	}
 	return true
@@ -231,7 +231,7 @@ func (m *Mechanisms) deliverLeave(msg Message, ts uint64) {
 	}
 	g.removeMember(p.Node)
 	delete(g.pendingJoins, p.Node)
-	if p.Node == m.cfg.NodeID && g.local != nil {
+	if p.Node == m.id && g.local != nil {
 		g.local.close()
 		g.local = nil
 	}
@@ -263,7 +263,7 @@ func (m *Mechanisms) deliverViewChange(msg Message, ts uint64) {
 		}
 		g.removeMember(node)
 		delete(g.pendingJoins, node)
-		if node == m.cfg.NodeID && g.local != nil {
+		if node == m.id && g.local != nil {
 			g.local.close()
 			g.local = nil
 		}
@@ -402,7 +402,7 @@ func (m *Mechanisms) discardStaleReplicasLocked(seq uint64) {
 		}
 		g.local.close()
 		g.local = nil
-		g.removeMember(m.cfg.NodeID)
+		g.removeMember(m.id)
 		for node := range g.pendingJoins {
 			delete(g.pendingJoins, node)
 		}
@@ -468,7 +468,7 @@ func (m *Mechanisms) deliverMembershipSync(msg Message) {
 		g.members = append(g.members[:0], sg.Members...)
 		g.view = sg.View
 		g.viewSeq = sg.ViewSeq
-		if g.local != nil && !g.isMember(m.cfg.NodeID) {
+		if g.local != nil && !g.isMember(m.id) {
 			// The majority evicted this node while it was away; whatever
 			// membership it thinks it holds is void.
 			g.local.close()
@@ -486,7 +486,7 @@ func (m *Mechanisms) updatePrimary(g *groupState) {
 	if g.local == nil {
 		return
 	}
-	isPrimary := len(g.members) > 0 && g.members[0] == m.cfg.NodeID
+	isPrimary := len(g.members) > 0 && g.members[0] == m.id
 	if isPrimary && !g.local.primary {
 		g.local.primary = true
 		// Failover applies only to replicas that actually served as a
@@ -507,11 +507,11 @@ func (m *Mechanisms) retriggerTransfers(g *groupState) {
 	if g.local == nil || g.local.app == nil {
 		return
 	}
-	if len(g.members) == 0 || g.members[0] != m.cfg.NodeID {
+	if len(g.members) == 0 || g.members[0] != m.id {
 		return
 	}
 	for joiner, ts := range g.pendingJoins {
-		if joiner != m.cfg.NodeID {
+		if joiner != m.id {
 			g.local.push(task{kind: taskCaptureState, joiner: joiner, ts: ts})
 		}
 	}
@@ -576,7 +576,7 @@ func (m *Mechanisms) deliverInvocation(hv HeaderView, raw []byte, ts uint64) {
 	// destination group: the gateway-group record multicast reuses the
 	// real invocation's operation identifier and would otherwise pollute
 	// that trace with an earlier deliver hop.
-	m.tracer.Event(traceKey(msg.Header), obs.StageDeliver, string(m.cfg.NodeID))
+	m.tracer.Event(traceKey(msg.Header), obs.StageDeliver, string(m.id))
 	// The still-encoded GIOP request rides to the per-group executor,
 	// which decodes it off the event loop; backups that only log the
 	// invocation copy the raw wire form instead of re-encoding it.
@@ -604,7 +604,7 @@ func (m *Mechanisms) deliverResponse(hv HeaderView, sender memnet.NodeID, ts uin
 			// or recorded at this node.
 			m.duplicateResponses.Add(1)
 			m.responsesDiscardedEarly.Add(1)
-			m.tracer.Event(traceKey(h), obs.StageDupSuppressed, string(m.cfg.NodeID)+"/response")
+			m.tracer.Event(traceKey(h), obs.StageDupSuppressed, string(m.id)+"/response")
 			return
 		}
 		// First copy with nobody waiting (another gateway's traffic, or a
@@ -739,7 +739,7 @@ func (m *Mechanisms) deliverStateTransfer(msg Message) {
 	}
 	delete(g.pendingJoins, p.Target)
 	var r *replica
-	if p.Target == m.cfg.NodeID && g.local != nil && g.local.app != nil {
+	if p.Target == m.id && g.local != nil && g.local.app != nil {
 		r = g.local
 	}
 	m.mu.Unlock()

@@ -96,6 +96,7 @@ type pendingResult struct {
 type Mechanisms struct {
 	cfg    Config
 	node   *totem.Node
+	id     memnet.NodeID // node.ID()
 	log    *logrec.Log
 	tracer *obs.Tracer // nil when tracing is disabled
 
@@ -169,6 +170,7 @@ func New(cfg Config) (*Mechanisms, error) {
 	m := &Mechanisms{
 		cfg:       cfg,
 		node:      cfg.Node,
+		id:        cfg.Node.ID(),
 		tracer:    cfg.Tracer,
 		log:       logrec.NewLog(),
 		stop:      make(chan struct{}),
@@ -192,7 +194,7 @@ func (m *Mechanisms) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	lbl := obs.Labels{"node": string(m.cfg.NodeID)}
+	lbl := obs.Labels{"node": string(m.id)}
 	for _, c := range []struct {
 		name, help string
 		fn         func() uint64
@@ -282,7 +284,7 @@ func (m *Mechanisms) DedupOccupancy() map[GroupID]int {
 }
 
 // NodeID returns the identity of the node these mechanisms run on.
-func (m *Mechanisms) NodeID() memnet.NodeID { return m.cfg.NodeID }
+func (m *Mechanisms) NodeID() memnet.NodeID { return m.id }
 
 // Log exposes the node's logging-recovery store (used by experiments and
 // the resource manager to inspect recovery behaviour).
@@ -344,7 +346,7 @@ func (m *Mechanisms) JoinGroup(id GroupID, app Application) error {
 	g, ok := m.groups[id]
 	if _, armed := m.prearmed[id]; (ok && g.local != nil) || armed {
 		m.mu.Unlock()
-		return fmt.Errorf("group %d on %s: %w", id, m.cfg.NodeID, ErrAlreadyMember)
+		return fmt.Errorf("group %d on %s: %w", id, m.id, ErrAlreadyMember)
 	}
 	// Register the intent; the replica activates when the join is
 	// delivered in total order.
@@ -352,7 +354,7 @@ func (m *Mechanisms) JoinGroup(id GroupID, app Application) error {
 	m.mu.Unlock()
 	return m.multicast(Message{
 		Header:  Header{Kind: KindJoinGroup, ClientID: UnusedClientID, DstGroup: id},
-		Payload: encodeMember(memberPayload{Node: m.cfg.NodeID}),
+		Payload: encodeMember(memberPayload{Node: m.id}),
 	})
 }
 
@@ -369,7 +371,7 @@ func (m *Mechanisms) DeleteGroup(id GroupID) error {
 func (m *Mechanisms) LeaveGroup(id GroupID) error {
 	return m.multicast(Message{
 		Header:  Header{Kind: KindLeaveGroup, ClientID: UnusedClientID, DstGroup: id},
-		Payload: encodeMember(memberPayload{Node: m.cfg.NodeID}),
+		Payload: encodeMember(memberPayload{Node: m.id}),
 	})
 }
 
@@ -523,7 +525,7 @@ func (m *Mechanisms) notifyChanged() {
 // be determined identically by every replica of the issuing group.
 func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op OperationID, req giop.Request, timeout time.Duration) (giop.Reply, error) {
 	if timeout == 0 {
-		timeout = m.cfg.InvokeTimeout
+		timeout = DefaultInvokeTimeout
 	}
 	if !m.HasQuorum() {
 		return giop.Reply{}, fmt.Errorf("invoke group %d: %w", dst, ErrNoQuorum)
@@ -571,7 +573,7 @@ func (m *Mechanisms) Invoke(src GroupID, clientID uint64, dst GroupID, op Operat
 	}
 	m.invocationsSent.Add(1)
 	m.tracer.Event(obs.TraceKey{ClientID: clientID, ParentTS: op.ParentTS, ChildSeq: op.ChildSeq},
-		obs.StageMulticastSend, string(m.cfg.NodeID))
+		obs.StageMulticastSend, string(m.id))
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()

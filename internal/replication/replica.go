@@ -254,7 +254,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 	key := opKey{src: msg.Header.SrcGroup, clientID: msg.Header.ClientID, op: msg.Header.Op}
 	if rep, ok := r.executed[key]; ok {
 		r.m.duplicateInvocations.Add(1)
-		r.m.tracer.Event(traceKey(msg.Header), obs.StageDupSuppressed, string(r.m.cfg.NodeID))
+		r.m.tracer.Event(traceKey(msg.Header), obs.StageDupSuppressed, string(r.m.id))
 		if mode != execCatchup {
 			r.respond(msg, rep)
 		}
@@ -283,7 +283,7 @@ func (r *replica) executeInvocation(msg Message, raw []byte, ts uint64, mode exe
 	r.curParentTS = 0
 
 	r.m.invocationsExecuted.Add(1)
-	r.m.tracer.Event(traceKey(msg.Header), obs.StageExecute, string(r.m.cfg.NodeID))
+	r.m.tracer.Event(traceKey(msg.Header), obs.StageExecute, string(r.m.id))
 	switch mode {
 	case execFailover:
 		r.m.replayedInvocations.Add(1)

@@ -134,12 +134,14 @@ type Application interface {
 	SetState(state []byte) error
 }
 
+// DefaultInvokeTimeout bounds waiting for a response when Invoke is
+// given no timeout of its own.
+const DefaultInvokeTimeout = 10 * time.Second
+
 // Config parameterizes the replication mechanisms on one node.
 type Config struct {
 	// Node is the Totem node whose event stream these mechanisms consume.
 	Node *totem.Node
-	// NodeID is this node's identity (defaults to Node.ID()).
-	NodeID memnet.NodeID
 	// WarmSyncInterval is the number of executed operations between
 	// warm-passive state synchronizations. Zero means 8.
 	WarmSyncInterval int
@@ -150,8 +152,6 @@ type Config struct {
 	// response-cache tables, and the node's early-discard done-set for
 	// duplicate responses. Zero means 16384 operations.
 	DedupCapacity int
-	// InvokeTimeout bounds waiting for a response. Zero means 10s.
-	InvokeTimeout time.Duration
 	// QuorumOf, when non-zero, enables majority-partition protection:
 	// while the totem ring holds fewer than QuorumOf/2+1 of the domain's
 	// processors, this node refuses to execute or issue invocations, so
@@ -171,9 +171,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.NodeID == "" && c.Node != nil {
-		c.NodeID = c.Node.ID()
-	}
 	if c.WarmSyncInterval == 0 {
 		c.WarmSyncInterval = 8
 	}
@@ -182,9 +179,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.DedupCapacity == 0 {
 		c.DedupCapacity = 16384
-	}
-	if c.InvokeTimeout == 0 {
-		c.InvokeTimeout = 10 * time.Second
 	}
 }
 

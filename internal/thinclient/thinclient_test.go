@@ -29,12 +29,9 @@ func fastDomain(t *testing.T, nodes int) *domain.Domain {
 		Name:  "ft",
 		Nodes: nodes,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,12 +386,9 @@ func TestGatewayChurnWithProfileRefresh(t *testing.T) {
 		Name:  "churn",
 		Nodes: 4,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		GatewayInvokeTimeout: 5 * time.Second,
 		OnIORUpdate: func(objectKey []byte, ref ior.Ref) {
 			clientMu.Lock()
 			c := client

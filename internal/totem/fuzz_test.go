@@ -13,6 +13,7 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n", Payload: []byte("p")}))
 	f.Add(encodeRegular(regularMsg{RingID: 1, Seq: 2, Sender: "n", Parts: [][]byte{[]byte("a"), []byte("b")}}))
 	f.Add(encodeToken(token{RingID: 1, TokenID: 2, Seq: 3, Succ: "n", Rtr: []rtrEntry{{Seq: 1}}}))
+	f.Add(encodeToken(token{RingID: 1, TokenID: 2, Seq: 9, Aru: 4, Stable: 3, Succ: "n", Rtr: []rtrEntry{{Seq: 5, Age: 2}}, Skip: []uint64{6}}))
 	f.Add(encodeJoin(joinMsg{Sender: "n", Alive: []memnet.NodeID{"n"}, RingID: 1, Highest: 2, Aru: 1}))
 	f.Add(encodeForward(forwardMsg{RingID: 1, Sender: "n", FwdSeq: 2, Parts: [][]byte{[]byte("p")}}))
 	f.Add(encodeForward(forwardMsg{RingID: 1, Sender: "n", FwdSeq: 3, Parts: [][]byte{[]byte("a"), []byte("bb")}}))

@@ -14,7 +14,7 @@ package totem
 //
 // Failure handling is demotion: the sequencer demotes when a member's
 // acks go stale past FailTimeout or when the stability lag exceeds
-// FastpathLagLimit; a follower demotes when the sequencer's traffic
+// fastpathLagLimit; a follower demotes when the sequencer's traffic
 // stops (the ordinary fail timer) or when its forwards are resent
 // maxFwdResends times without being ordered (a wedged-but-heartbeating
 // sequencer). Demotion is simply membership recovery — startGather — so
@@ -47,7 +47,7 @@ const (
 )
 
 func (n *Node) heartbeatInterval() time.Duration { return n.cfg.FailTimeout / 4 }
-func (n *Node) ackDelay() time.Duration          { return n.cfg.IdleHold / 2 }
+func (n *Node) ackDelay() time.Duration          { return idleHold / 2 }
 
 // promote installs this node as the ring's sequencer, consuming the
 // token for good (only the addressed holder of a live token can get
@@ -55,7 +55,7 @@ func (n *Node) ackDelay() time.Duration          { return n.cfg.IdleHold / 2 }
 func (n *Node) promote(t token) {
 	now := time.Now()
 	n.fpActive = true
-	n.leaderID = n.cfg.ID
+	n.leaderID = n.id
 	n.promoteSeq = t.Seq
 	n.leaderSeq = t.Seq
 	n.leaderStable = t.Stable
@@ -64,7 +64,7 @@ func (n *Node) promote(t token) {
 	n.memberAru = make(map[memnet.NodeID]uint64, len(n.ring))
 	n.memberAckAt = make(map[memnet.NodeID]time.Time, len(n.ring))
 	for _, m := range n.ring {
-		if m == n.cfg.ID {
+		if m == n.id {
 			continue
 		}
 		n.memberAru[m] = t.Stable
@@ -83,9 +83,9 @@ func (n *Node) promote(t token) {
 	n.heartbeatAt = now.Add(n.heartbeatInterval())
 	n.failDeadline = now.Add(n.cfg.FailTimeout)
 	n.promotionN.Add(1)
-	n.setFastpathMirror(n.cfg.ID, t.Seq)
+	n.setFastpathMirror(n.id, t.Seq)
 	n.broadcastRaw(encodePromote(promoteMsg{
-		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: t.Seq, Stable: t.Stable,
+		RingID: n.ringID, Leader: n.id, StartSeq: t.Seq, Stable: t.Stable,
 	}))
 	n.drainSendq()
 	n.leaderOrderPending()
@@ -175,14 +175,14 @@ func (n *Node) compactPending(drained int) {
 
 // nextPack returns the end index (exclusive) of the pack that starts at
 // pending[first]: as many queued payloads as fit one ordered message
-// under the MaxPackCount and MaxPackBytes bounds. The first payload is
+// under the maxPackCount and maxPackBytes bounds. The first payload is
 // always taken, so an oversized payload still travels (alone).
 func (n *Node) nextPack(first int) int {
 	end := first + 1
 	bytes := len(n.pending[first])
 	for end < len(n.pending) &&
-		end-first < n.cfg.MaxPackCount &&
-		bytes+len(n.pending[end]) <= n.cfg.MaxPackBytes {
+		end-first < maxPackCount &&
+		bytes+len(n.pending[end]) <= maxPackBytes {
 		bytes += len(n.pending[end])
 		end++
 	}
@@ -217,7 +217,7 @@ func (n *Node) forwardPending() {
 		n.awaiting = append(n.awaiting, awaitingFwd{fwd: n.fwdNext, parts: parts})
 		n.awaitingParts += len(parts)
 		n.broadcastRaw(encodeForward(forwardMsg{
-			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: n.fwdNext, Parts: parts,
+			RingID: n.ringID, Sender: n.id, FwdSeq: n.fwdNext, Parts: parts,
 		}))
 		n.broadcastN.Add(1)
 		n.forwardedN.Add(uint64(len(parts)))
@@ -225,7 +225,7 @@ func (n *Node) forwardPending() {
 	n.compactPending(drained)
 	n.pendingN.Store(int64(len(n.pending) + n.awaitingParts))
 	if len(n.awaiting) > 0 && n.fwdResendAt.IsZero() {
-		n.fwdResendAt = time.Now().Add(n.cfg.TokenRetransmit)
+		n.fwdResendAt = time.Now().Add(n.tokenRetransmit())
 	}
 }
 
@@ -239,7 +239,7 @@ func (n *Node) leaderOrderPending() {
 		parts := n.packParts(first, drained)
 		n.fwdNext++
 		n.broadcastN.Add(1)
-		if !n.orderParts(n.cfg.ID, n.fwdNext, parts) {
+		if !n.orderParts(n.id, n.fwdNext, parts) {
 			// Demoted mid-drain (stability lag): what was not ordered
 			// stays pending for the ring.
 			break
@@ -269,13 +269,13 @@ func (n *Node) orderParts(origin memnet.NodeID, fwd uint64, parts [][]byte) bool
 	n.fpSeqA.Store(seq)
 	n.leaderBatchN.Add(1)
 	n.broadcastRaw(encodeBatch(batchMsg{
-		RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
+		RingID: n.ringID, Seq: seq, Leader: n.id,
 		Origin: origin, OriginFwd: fwd,
 		Stable: n.leaderStable, Parts: parts,
 	}))
 	n.tryDeliver()
 	n.updateStability()
-	if seq-n.leaderStable > uint64(n.cfg.FastpathLagLimit) {
+	if seq-n.leaderStable > fastpathLagLimit {
 		// Backlog imbalance: a member is not confirming. Demote to ring
 		// rotation rather than buffer without bound.
 		n.startGather()
@@ -293,7 +293,7 @@ func (n *Node) handleForward(f forwardMsg) {
 		}
 		return
 	}
-	if n.gathering || !n.fpActive || n.leaderID != n.cfg.ID {
+	if n.gathering || !n.fpActive || n.leaderID != n.id {
 		return
 	}
 	if !n.inRing(f.Sender) {
@@ -355,7 +355,7 @@ func (n *Node) rebroadcastOrdered(seq uint64, m regularMsg) {
 			parts = [][]byte{m.Payload}
 		}
 		n.broadcastRaw(encodeBatch(batchMsg{
-			RingID: n.ringID, Seq: seq, Leader: n.cfg.ID,
+			RingID: n.ringID, Seq: seq, Leader: n.id,
 			Origin: ref.origin, OriginFwd: ref.fwd,
 			Stable: n.leaderStable, Parts: parts,
 		}))
@@ -403,7 +403,7 @@ func (n *Node) handleBatch(b batchMsg) {
 		return
 	}
 	n.applyStable(b.Stable)
-	if b.Origin == n.cfg.ID && n.leaderID != n.cfg.ID {
+	if b.Origin == n.id && n.leaderID != n.id {
 		n.clearOrdered(b.OriginFwd)
 	}
 }
@@ -441,7 +441,7 @@ func (n *Node) handleAck(a ackMsg) {
 		}
 		return
 	}
-	if n.gathering || !n.fpActive || n.leaderID != n.cfg.ID || a.Sender == n.cfg.ID {
+	if n.gathering || !n.fpActive || n.leaderID != n.id || a.Sender == n.id {
 		return
 	}
 	if !n.inRing(a.Sender) {
@@ -498,7 +498,7 @@ func (n *Node) handlePromote(p promoteMsg) {
 	}
 	n.promoteSeq = p.StartSeq
 	n.setFastpathMirror(p.Leader, p.StartSeq)
-	if n.leaderID == n.cfg.ID {
+	if n.leaderID == n.id {
 		return // own broadcast echo
 	}
 	n.touchLiveness()
@@ -522,7 +522,7 @@ func (n *Node) applyStable(stable uint64) {
 func (n *Node) updateStability() {
 	min := n.deliveredSeq
 	for _, m := range n.ring {
-		if m == n.cfg.ID {
+		if m == n.id {
 			continue
 		}
 		if a := n.memberAru[m]; a < min {
@@ -544,7 +544,7 @@ func (n *Node) updateStability() {
 // leaderHeartbeat runs on the sequencer's heartbeat timer: check member
 // liveness through ack staleness, then re-announce the epoch.
 func (n *Node) leaderHeartbeat(now time.Time) {
-	if !n.fpActive || n.leaderID != n.cfg.ID {
+	if !n.fpActive || n.leaderID != n.id {
 		n.heartbeatAt = time.Time{}
 		return
 	}
@@ -552,7 +552,7 @@ func (n *Node) leaderHeartbeat(now time.Time) {
 	// sees the token): a silent member demotes the ring back to
 	// rotation, whose membership recovery sorts out who is alive.
 	for _, m := range n.ring {
-		if m == n.cfg.ID {
+		if m == n.id {
 			continue
 		}
 		if at, ok := n.memberAckAt[m]; ok && now.Sub(at) > n.cfg.FailTimeout {
@@ -561,7 +561,7 @@ func (n *Node) leaderHeartbeat(now time.Time) {
 		}
 	}
 	n.broadcastRaw(encodePromote(promoteMsg{
-		RingID: n.ringID, Leader: n.cfg.ID, StartSeq: n.promoteSeq, Stable: n.leaderStable,
+		RingID: n.ringID, Leader: n.id, StartSeq: n.promoteSeq, Stable: n.leaderStable,
 	}))
 	n.heartbeatAt = now.Add(n.heartbeatInterval())
 	// The members just proved live above; the sequencer's own fail timer
@@ -572,7 +572,7 @@ func (n *Node) leaderHeartbeat(now time.Time) {
 // resendForwards retries forwards the sequencer has not ordered yet, and
 // escapes through recovery when it never does.
 func (n *Node) resendForwards(now time.Time) {
-	if !n.fpActive || n.leaderID == n.cfg.ID || len(n.awaiting) == 0 {
+	if !n.fpActive || n.leaderID == n.id || len(n.awaiting) == 0 {
 		n.fwdResendAt = time.Time{}
 		return
 	}
@@ -586,16 +586,16 @@ func (n *Node) resendForwards(now time.Time) {
 			return
 		}
 		n.broadcastRaw(encodeForward(forwardMsg{
-			RingID: n.ringID, Sender: n.cfg.ID, FwdSeq: a.fwd, Parts: a.parts,
+			RingID: n.ringID, Sender: n.id, FwdSeq: a.fwd, Parts: a.parts,
 		}))
 	}
-	n.fwdResendAt = now.Add(n.cfg.TokenRetransmit)
+	n.fwdResendAt = now.Add(n.tokenRetransmit())
 }
 
 // scheduleAck coalesces stability reports: the first watermark movement
 // arms the timer, later ones ride along when it fires.
 func (n *Node) scheduleAck() {
-	if !n.fpActive || n.leaderID == n.cfg.ID {
+	if !n.fpActive || n.leaderID == n.id {
 		return
 	}
 	if n.ackDueAt.IsZero() {
@@ -606,11 +606,11 @@ func (n *Node) scheduleAck() {
 // sendAck reports this follower's contiguous watermark plus
 // retransmission requests for any observed gaps.
 func (n *Node) sendAck(now time.Time) {
-	if !n.fpActive || n.leaderID == n.cfg.ID {
+	if !n.fpActive || n.leaderID == n.id {
 		n.ackDueAt = time.Time{}
 		return
 	}
-	a := ackMsg{RingID: n.ringID, Sender: n.cfg.ID, Aru: n.deliveredSeq}
+	a := ackMsg{RingID: n.ringID, Sender: n.id, Aru: n.deliveredSeq}
 	for s := n.deliveredSeq + 1; s <= n.highest && len(a.Nak) < maxNaks; s++ {
 		if _, ok := n.buffer[s]; ok || n.skipped[s] {
 			continue
@@ -620,7 +620,7 @@ func (n *Node) sendAck(now time.Time) {
 	n.broadcastRaw(encodeAck(a))
 	if len(a.Nak) > 0 {
 		// Gaps outstanding: keep re-nakking until retransmissions land.
-		n.ackDueAt = now.Add(n.cfg.TokenRetransmit)
+		n.ackDueAt = now.Add(n.tokenRetransmit())
 	} else {
 		n.ackDueAt = time.Time{}
 	}

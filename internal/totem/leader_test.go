@@ -2,6 +2,7 @@ package totem
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -309,7 +310,6 @@ func TestLeaderModeStabilityAdvancesAndGCs(t *testing.T) {
 func TestLeaderLagLimitDemotes(t *testing.T) {
 	c := newClusterCfg(t, 3, func(cfg *Config) {
 		cfg.Ordering = OrderingLeader
-		cfg.FastpathLagLimit = 4
 		// Keep liveness-based demotion out of the way so the lag limit is
 		// what trips.
 		cfg.FailTimeout = 2 * time.Second
@@ -330,19 +330,48 @@ func TestLeaderLagLimitDemotes(t *testing.T) {
 		}
 	}
 	c.net.Partition([]memnet.NodeID{leader}, followers)
+	// The sequencer delivers its own submissions locally; drain them so
+	// its event buffer, no larger than the lag limit, does not fill and
+	// stall it first.
+	stopDrain, drained := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			select {
+			case <-c.nodes[leader].Events():
+			case <-stopDrain:
+				return
+			}
+		}
+	}()
+	// Submit one payload at a time, each once the previous one is
+	// ordered, so every submission costs the sequencer one sequence
+	// number instead of sharing a pack.
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; ; i++ {
+		ordered := c.nodes[leader].Stats().LeaderBatches
 		if err := c.nodes[leader].Multicast([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if c.nodes[leader].Stats().Demotions > 0 {
+		for c.nodes[leader].Stats().LeaderBatches == ordered && c.nodes[leader].Stats().Demotions == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("no demotion after %d submissions with lag limit %d", i+1, fastpathLagLimit)
+			}
+			runtime.Gosched()
+		}
+		if st := c.nodes[leader].Stats(); st.Demotions > 0 {
+			// The ring was quiescent at promotion (stable == seq) and
+			// nothing was ordered before the partition, so the lag limit
+			// trips on exactly the batch that exceeds it; any other count
+			// means something else, such as a liveness timeout, demoted.
+			if st.LeaderBatches != fastpathLagLimit+1 {
+				t.Fatalf("demoted after %d batches, want %d (lag limit %d)", st.LeaderBatches, fastpathLagLimit+1, fastpathLagLimit)
+			}
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no demotion after %d submissions with lag limit 4", i+1)
-		}
-		time.Sleep(100 * time.Microsecond)
 	}
+	close(stopDrain)
+	<-drained
 	// Heal and verify the merged ring still agrees.
 	c.net.Heal()
 	if err := c.nodes[followers[0]].Multicast([]byte("healed")); err != nil {

@@ -2,7 +2,6 @@ package totem
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,6 +46,7 @@ const skipAge = 4
 type Node struct {
 	cfg Config
 	ep  Transport
+	id  memnet.NodeID // ep.ID(), the node's identity
 
 	events chan Event
 	sendq  chan []byte
@@ -91,7 +91,7 @@ type Node struct {
 	holdUntil  time.Time
 	workInHold bool
 	// lastTrafficAt is when this node last saw application traffic (a
-	// new regular broadcast, local or remote). Within eight IdleHolds of
+	// new regular broadcast, local or remote). Within eight idle holds of
 	// it the token's idle hold is cut to a quarter (see processToken).
 	lastTrafficAt time.Time
 
@@ -110,14 +110,14 @@ type Node struct {
 	promoteSeq uint64        // ring-ordered sequence the mode switch was installed at
 
 	// sequencer-side state
-	leaderSeq    uint64                             // last sequence number assigned
-	leaderStable uint64                             // stability horizon (min aru over the ring)
-	memberAru    map[memnet.NodeID]uint64           // latest acked aru per member
-	memberAckAt  map[memnet.NodeID]time.Time        // when each member last acked (liveness)
-	fwdSeen      map[memnet.NodeID]uint64           // contiguous forward watermark per origin
+	leaderSeq    uint64                                  // last sequence number assigned
+	leaderStable uint64                                  // stability horizon (min aru over the ring)
+	memberAru    map[memnet.NodeID]uint64                // latest acked aru per member
+	memberAckAt  map[memnet.NodeID]time.Time             // when each member last acked (liveness)
+	fwdSeen      map[memnet.NodeID]uint64                // contiguous forward watermark per origin
 	fwdStash     map[memnet.NodeID]map[uint64]forwardMsg // out-of-order forwards awaiting their gap
-	fwdLast      map[memnet.NodeID]uint64           // seq of each origin's most recent batch
-	batchOrigin  map[uint64]batchRef                // seq -> forward identity, for nak retransmission
+	fwdLast      map[memnet.NodeID]uint64                // seq of each origin's most recent batch
+	batchOrigin  map[uint64]batchRef                     // seq -> forward identity, for nak retransmission
 	heartbeatAt  time.Time
 
 	// follower-side state
@@ -157,15 +157,10 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Endpoint == nil {
 		return nil, errors.New("totem: config needs an endpoint")
 	}
-	if cfg.ID == "" {
-		cfg.ID = cfg.Endpoint.ID()
-	}
-	if cfg.ID != cfg.Endpoint.ID() {
-		return nil, fmt.Errorf("totem: id %q does not match endpoint %q", cfg.ID, cfg.Endpoint.ID())
-	}
 	n := &Node{
 		cfg:     cfg,
 		ep:      cfg.Endpoint,
+		id:      cfg.Endpoint.ID(),
 		events:  make(chan Event, eventBufSize),
 		sendq:   make(chan []byte, 1024),
 		stop:    make(chan struct{}),
@@ -183,7 +178,7 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	lbl := obs.Labels{"node": string(n.cfg.ID)}
+	lbl := obs.Labels{"node": string(n.id)}
 	for _, c := range []struct {
 		name, help string
 		fn         func() uint64
@@ -207,7 +202,7 @@ func (n *Node) registerMetrics(reg *obs.Registry) {
 }
 
 // ID returns the node's identity.
-func (n *Node) ID() memnet.NodeID { return n.cfg.ID }
+func (n *Node) ID() memnet.NodeID { return n.id }
 
 // Events returns the ordered event stream. The consumer must keep
 // draining it; a full event buffer blocks the protocol goroutine, which
@@ -343,7 +338,7 @@ func (n *Node) run() {
 				// path, so a demotion right after this submission starts
 				// ring rotation from a clean pacing state instead of
 				// double-delaying the first post-switch rotation.
-				if n.leaderID == n.cfg.ID {
+				if n.leaderID == n.id {
 					n.leaderOrderPending()
 				} else {
 					n.forwardPending()
@@ -415,6 +410,12 @@ func (n *Node) rearm(timer *time.Timer) {
 	timer.Reset(d)
 }
 
+// tokenRetransmit is how long the previous holder (and a follower
+// awaiting its forwards or owing an ack) waits for evidence of progress
+// before resending: a tenth of FailTimeout, so several resends fit
+// before a lost token looks like a failure.
+func (n *Node) tokenRetransmit() time.Duration { return n.cfg.FailTimeout / 10 }
+
 func (n *Node) handleTimeouts(now time.Time) {
 	if n.heldToken != nil && !n.holdUntil.After(now) {
 		n.finishHold()
@@ -422,7 +423,7 @@ func (n *Node) handleTimeouts(now time.Time) {
 	if !n.tokenResendAt.IsZero() && !n.tokenResendAt.After(now) && n.lastSentToken != nil {
 		// No evidence of progress since forwarding: resend the token.
 		n.broadcastRaw(encodeToken(*n.lastSentToken))
-		n.tokenResendAt = now.Add(n.cfg.TokenRetransmit)
+		n.tokenResendAt = now.Add(n.tokenRetransmit())
 	}
 	if !n.gatherDeadline.IsZero() && !n.gatherDeadline.After(now) {
 		n.installRing()
@@ -529,7 +530,7 @@ func (n *Node) handleRegular(m regularMsg) {
 		n.clearTokenResend()
 	}
 	n.tryDeliver()
-	if n.fpActive && n.leaderID != n.cfg.ID {
+	if n.fpActive && n.leaderID != n.id {
 		// A sequencer retransmission landed (kindRegular serves naks for
 		// ring-era sequence numbers): report the advanced watermark.
 		n.scheduleAck()
@@ -579,7 +580,7 @@ func (n *Node) handleToken(t token) {
 	if n.gathering {
 		return
 	}
-	if t.Succ != n.cfg.ID {
+	if t.Succ != n.id {
 		// Token observed in passing (tokens are broadcast so every node
 		// can use them for liveness and merge detection).
 		return
@@ -636,34 +637,18 @@ func (n *Node) processToken(t token) {
 		}
 	}
 
-	// Broadcast pending messages, consuming new sequence numbers. Flow
-	// control caps the visit twice: by the member's fair share of the
-	// rotation window (so an eager early member cannot starve the rest)
-	// and by what is left of the window itself.
+	// Broadcast pending messages, consuming new sequence numbers, at
+	// most maxBurst messages per visit.
 	n.drainSendq()
-	burst := n.cfg.MaxBurst
-	if n.cfg.WindowSize > 0 && len(n.ring) > 0 {
-		quota := n.cfg.WindowSize / len(n.ring)
-		if quota < 1 {
-			quota = 1
-		}
-		if quota < burst {
-			burst = quota
-		}
-		if remaining := n.cfg.WindowSize - int(t.Spent); remaining < burst {
-			burst = remaining
-		}
-	}
 	drained := 0
-	for drained < len(n.pending) && burst > 0 {
-		burst--
+	for burst := 0; drained < len(n.pending) && burst < maxBurst; burst++ {
 		t.Seq++
 		// Pack as many queued payloads as fit into one message (one
-		// sequence number, one datagram, one window slot), as the
-		// original Totem fills each packet from the send queue.
+		// sequence number, one datagram), as the original Totem fills
+		// each packet from the send queue.
 		first := drained
 		drained = n.nextPack(first)
-		m := regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.cfg.ID}
+		m := regularMsg{RingID: n.ringID, Seq: t.Seq, Sender: n.id}
 		if drained-first == 1 {
 			// A single payload degrades to the plain form: identical
 			// wire bytes to the pre-packing protocol.
@@ -677,7 +662,6 @@ func (n *Node) processToken(t token) {
 		}
 		n.broadcastRaw(encodeRegular(m))
 		n.broadcastN.Add(1)
-		t.Spent++
 		work = true
 	}
 	n.compactPending(drained)
@@ -694,15 +678,13 @@ func (n *Node) processToken(t token) {
 	if myAru < t.Aru {
 		t.Aru = myAru
 	}
-	isLeader := len(n.ring) > 0 && n.ring[0] == n.cfg.ID
+	isLeader := len(n.ring) > 0 && n.ring[0] == n.id
 	if isLeader {
 		if t.Aru > t.Stable {
 			t.Stable = t.Aru
 			work = true
 		}
 		t.Aru = myAru
-		// A new rotation begins: reset the flow-control window.
-		t.Spent = 0
 	}
 
 	// Garbage-collect messages everyone is confirmed to have received.
@@ -755,7 +737,7 @@ func (n *Node) processToken(t token) {
 
 	// Forward immediately if this visit did work or left work pending;
 	// otherwise hold before forwarding so an idle ring does not spin.
-	// Within eight IdleHolds of the last traffic the hold is cut to a
+	// Within eight idle holds of the last traffic the hold is cut to a
 	// quarter: a request submitted at any member mid-conversation meets
 	// the token after short holds instead of full idle holds, while the
 	// shortened hold still paces rotation enough that token processing
@@ -767,8 +749,8 @@ func (n *Node) processToken(t token) {
 		n.finishHold()
 		return
 	}
-	hold := n.cfg.IdleHold
-	if time.Since(n.lastTrafficAt) < 8*n.cfg.IdleHold {
+	hold := idleHold
+	if time.Since(n.lastTrafficAt) < 8*idleHold {
 		hold /= 4
 	}
 	n.holdUntil = time.Now().Add(hold)
@@ -786,7 +768,7 @@ func (n *Node) finishHold() {
 	t.Succ = n.successor()
 	sent := *t
 	n.lastSentToken = &sent
-	n.tokenResendAt = time.Now().Add(n.cfg.TokenRetransmit)
+	n.tokenResendAt = time.Now().Add(n.tokenRetransmit())
 	n.broadcastRaw(encodeToken(*t))
 	n.tokenPassN.Add(1)
 }
@@ -794,13 +776,13 @@ func (n *Node) finishHold() {
 // successor returns the next member after this node on the ring.
 func (n *Node) successor() memnet.NodeID {
 	for i, m := range n.ring {
-		if m == n.cfg.ID {
+		if m == n.id {
 			return n.ring[(i+1)%len(n.ring)]
 		}
 	}
 	// Not on the ring (should not happen operationally); loop to self so
 	// the token is not lost.
-	return n.cfg.ID
+	return n.id
 }
 
 func (n *Node) clearTokenResend() {
@@ -908,9 +890,9 @@ func (n *Node) startGather() {
 	n.holdUntil = time.Time{}
 	n.clearTokenResend()
 	n.failDeadline = time.Time{}
-	n.alive = map[memnet.NodeID]bool{n.cfg.ID: true}
-	n.joinHighest = map[memnet.NodeID]uint64{n.cfg.ID: n.highest}
-	n.joinAru = map[memnet.NodeID]uint64{n.cfg.ID: n.deliveredSeq}
+	n.alive = map[memnet.NodeID]bool{n.id: true}
+	n.joinHighest = map[memnet.NodeID]uint64{n.id: n.highest}
+	n.joinAru = map[memnet.NodeID]uint64{n.id: n.deliveredSeq}
 	if n.ringID+1 > n.proposedRingID {
 		n.proposedRingID = n.ringID + 1
 	}
@@ -925,7 +907,7 @@ func (n *Node) sendJoin() {
 	}
 	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
 	n.broadcastRaw(encodeJoin(joinMsg{
-		Sender:  n.cfg.ID,
+		Sender:  n.id,
 		Alive:   alive,
 		RingID:  n.proposedRingID,
 		Highest: n.highest,
@@ -995,7 +977,7 @@ func (n *Node) installRing() {
 		Members: members,
 	}})
 
-	if members[0] != n.cfg.ID {
+	if members[0] != n.id {
 		return
 	}
 	// Leader: create the first token of the new ring. Seq resumes from

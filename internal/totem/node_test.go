@@ -19,10 +19,8 @@ type cluster struct {
 // fastConfig returns timeouts tuned for tests.
 func fastConfig() Config {
 	return Config{
-		IdleHold:        100 * time.Microsecond,
-		TokenRetransmit: 10 * time.Millisecond,
-		FailTimeout:     80 * time.Millisecond,
-		GatherTimeout:   20 * time.Millisecond,
+		FailTimeout:   80 * time.Millisecond,
+		GatherTimeout: 20 * time.Millisecond,
 	}
 }
 
@@ -32,8 +30,8 @@ func newCluster(t *testing.T, n int, opts ...memnet.Option) *cluster {
 }
 
 // newClusterCfg is newCluster with a config hook applied to every
-// member, for tests that need non-default protocol knobs (ordering
-// mode, lag limits).
+// member, for tests that need non-default protocol settings (ordering
+// mode, failure-detector timings).
 func newClusterCfg(t *testing.T, n int, mut func(*Config), opts ...memnet.Option) *cluster {
 	t.Helper()
 	c := &cluster{
@@ -50,7 +48,6 @@ func newClusterCfg(t *testing.T, n int, mut func(*Config), opts ...memnet.Option
 			t.Fatal(err)
 		}
 		cfg := fastConfig()
-		cfg.ID = id
 		cfg.Endpoint = ep
 		cfg.Members = c.ids
 		if mut != nil {

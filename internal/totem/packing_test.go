@@ -99,30 +99,37 @@ func TestPackingUnderLossyNetwork(t *testing.T) {
 }
 
 // TestPackingRespectsBounds pins the pack bounds that the ring drain
-// and both leader-mode paths share: MaxPackCount caps the payloads per
-// sequence number, a payload larger than MaxPackBytes still travels
-// (alone), and MaxPackCount 1 sends every payload plain under its own
-// sequence number. The leader case runs after the fast path promotes
-// and submits from a follower (forwarded batches) and from the
-// sequencer (batches it orders itself).
+// and both leader-mode paths share, at the values production runs with:
+// a backlog of tiny payloads packs at most maxPackCount per sequence
+// number, payloads of 12 KiB pack at most two to a message (the
+// maxPackBytes bound), and a payload larger than maxPackBytes travels
+// alone in the plain form (the ring-plain case). The leader case runs
+// every phase after the fast path promotes and submits from a follower
+// (forwarded batches) and from the sequencer (batches it orders itself).
 func TestPackingRespectsBounds(t *testing.T) {
+	type phase struct {
+		name        string
+		count, size int
+	}
+	packed := []phase{
+		{"tiny", 3 * maxPackCount, 1},
+		{"12KiB", 6, 12 << 10},
+	}
+	plain := []phase{{"40KiB", 1, 40 << 10}}
 	cases := []struct {
 		name     string
 		nodes    int
 		ordering OrderingMode
-		count    int
-		bytes    int
+		phases   []phase
 	}{
-		{"ring-count4-bytes64", 1, OrderingRing, 4, 64},
-		{"ring-count1-plain", 1, OrderingRing, 1, 0},
-		{"leader-count4-bytes64", 3, OrderingLeader, 4, 64},
+		{"ring", 1, OrderingRing, packed},
+		{"ring-plain", 1, OrderingRing, plain},
+		{"leader", 3, OrderingLeader, append(packed, plain...)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newClusterCfg(t, tc.nodes, func(cfg *Config) {
 				cfg.Ordering = tc.ordering
-				cfg.MaxPackCount = tc.count
-				cfg.MaxPackBytes = tc.bytes
 			})
 			for _, id := range c.ids {
 				c.waitConfig(id, tc.nodes)
@@ -138,59 +145,54 @@ func TestPackingRespectsBounds(t *testing.T) {
 					}
 				}
 			}
-
-			const small = 20
-			big := make([]byte, 200) // > MaxPackBytes: must still travel
-			for _, id := range senders {
-				for i := 0; i < small; i++ {
-					if err := c.nodes[id].Multicast([]byte{byte(i)}); err != nil {
-						t.Fatal(err)
-					}
+			packedMsgs := func() (total uint64) {
+				for _, id := range senders {
+					total += c.nodes[id].Stats().PackedMsgs
 				}
-				if err := c.nodes[id].Multicast(big); err != nil {
-					t.Fatal(err)
-				}
+				return total
 			}
 
-			total := len(senders) * (small + 1)
-			perSeq := make(map[uint64]int)
-			perSender := make(map[memnet.NodeID]int)
-			var last uint64
-			for i, d := range c.collect(c.ids[0], total) {
-				perSeq[d.Seq]++
-				if perSender[d.Sender] == small && len(d.Payload) != len(big) {
-					t.Fatalf("oversized payload from %s arrived with %d bytes, want %d", d.Sender, len(d.Payload), len(big))
-				}
-				perSender[d.Sender]++
-				if tc.count == 1 {
-					if d.Sub != 0 {
-						t.Fatalf("MaxPackCount 1 but delivery has sub-index %d", d.Sub)
-					}
-					if i > 0 && d.Seq != last+1 {
-						t.Fatalf("non-contiguous seqs %d -> %d", last, d.Seq)
+			for _, ph := range tc.phases {
+				packedBefore := packedMsgs()
+				for _, id := range senders {
+					for i := 0; i < ph.count; i++ {
+						if err := c.nodes[id].Multicast(make([]byte, ph.size)); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
-				last = d.Seq
-			}
-			for seq, parts := range perSeq {
-				if parts > tc.count {
-					t.Fatalf("seq %d carried %d payloads, cap is %d", seq, parts, tc.count)
+				perSeq := make(map[uint64][]int)
+				for _, d := range c.collect(c.ids[0], len(senders)*ph.count) {
+					if len(d.Payload) != ph.size {
+						t.Fatalf("%s: payload of %d bytes arrived with %d", ph.name, ph.size, len(d.Payload))
+					}
+					if ph.size > maxPackBytes && d.Sub != 0 {
+						t.Fatalf("%s: oversized payload packed at sub-index %d", ph.name, d.Sub)
+					}
+					perSeq[d.Seq] = append(perSeq[d.Seq], len(d.Payload))
+				}
+				for seq, sizes := range perSeq {
+					bytes := 0
+					for _, n := range sizes {
+						bytes += n
+					}
+					if len(sizes) > maxPackCount || (len(sizes) > 1 && bytes > maxPackBytes) {
+						t.Fatalf("%s: seq %d carried %d payloads of %d bytes, caps are %d and %d",
+							ph.name, seq, len(sizes), bytes, maxPackCount, maxPackBytes)
+					}
+				}
+				if ph.size > maxPackBytes && packedMsgs() != packedBefore {
+					t.Fatalf("%s: packed messages %d -> %d for a payload over the byte bound", ph.name, packedBefore, packedMsgs())
 				}
 			}
-			var packed uint64
 			for _, id := range senders {
-				st := c.nodes[id].Stats()
-				packed += st.PackedMsgs
-				if tc.ordering == OrderingLeader && st.Demotions != 0 {
+				if st := c.nodes[id].Stats(); tc.ordering == OrderingLeader && st.Demotions != 0 {
 					t.Fatalf("%s demoted %d times; the leader paths went untested", id, st.Demotions)
 				}
 			}
 			if tc.ordering == OrderingLeader &&
 				(c.nodes[senders[0]].Stats().LeaderBatches == 0 || c.nodes[senders[1]].Stats().Forwarded == 0) {
 				t.Fatal("the submissions did not take the leader fast path")
-			}
-			if tc.count == 1 && packed != 0 {
-				t.Fatalf("packed %d messages with MaxPackCount 1", packed)
 			}
 		})
 	}

@@ -53,7 +53,7 @@ type Delivery struct {
 }
 
 // subTimestampBits is how far Seq is shifted when folding Sub into a
-// single ordered timestamp; MaxPackCount is capped below 1<<subTimestampBits.
+// single ordered timestamp; maxPackCount stays below 1<<subTimestampBits.
 const subTimestampBits = 16
 
 // Timestamp folds (Seq, Sub) into one uint64 that is unique, strictly
@@ -106,49 +106,51 @@ const (
 	OrderingLeader
 )
 
+// Protocol bounds and timers that do not depend on the deployment's
+// network. The failure-detector timings in Config are the only settings
+// a deployment tunes.
+const (
+	// maxBurst bounds how many regular messages one token visit may
+	// broadcast.
+	maxBurst = 64
+	// idleHold is how long an idle token holder waits before forwarding
+	// the token, throttling rotation when there is no traffic.
+	idleHold = 200 * time.Microsecond
+	// maxPackCount bounds how many payloads one packed message carries;
+	// it must stay below 1<<subTimestampBits so (Seq, Sub) folds into a
+	// single 64-bit timestamp.
+	maxPackCount = 32
+	// maxPackBytes bounds the payload bytes of one packed message, so a
+	// pack fits one datagram on real transports (udpnet reassembles up
+	// to 64 KiB). A payload larger than the bound is never packed; it
+	// travels alone as a plain regular message.
+	maxPackBytes = 32 << 10
+	// fastpathLagLimit bounds, in sequence numbers, how far the
+	// sequencer may run ahead of the stability horizon before it demotes
+	// the ring back to token rotation (leader mode's backlog-imbalance
+	// escape: a follower that cannot keep up would otherwise force
+	// unbounded buffering everywhere).
+	fastpathLagLimit = 4096
+)
+
 // Config parameterizes a Node.
 type Config struct {
-	// ID is this node's identity; it must match the endpoint's.
-	ID memnet.NodeID
-	// Endpoint is the node's attachment to the network.
+	// Endpoint is the node's attachment to the network; its ID is the
+	// node's identity.
 	Endpoint Transport
 	// Members is the initial ring membership, including this node.
 	// All founding members must be configured with the same list.
 	Members []memnet.NodeID
 
-	// MaxBurst bounds how many queued messages one token visit may
-	// broadcast. Zero means the default of 64.
-	MaxBurst int
-	// WindowSize bounds how many regular messages the whole ring may
-	// broadcast per token rotation (Totem's flow control). Zero disables
-	// the global bound, leaving only the per-visit MaxBurst. All members
-	// must configure the same value.
-	WindowSize int
-	// IdleHold is how long an idle token holder waits before forwarding
-	// the token, throttling rotation when there is no traffic. Zero
-	// means the default of 200 microseconds.
-	IdleHold time.Duration
-	// TokenRetransmit is how long the previous holder waits for evidence
-	// of progress before resending the token. Zero means 25ms.
-	TokenRetransmit time.Duration
 	// FailTimeout is how long a node tolerates not seeing the token (or
 	// any ring traffic) before starting membership recovery. Zero means
-	// 250ms.
+	// 250ms. A tenth of it is how long the previous holder waits for
+	// evidence of progress before resending the token.
 	FailTimeout time.Duration
 	// GatherTimeout is how long the alive-set must be stable during
 	// membership recovery before a new ring is installed. Zero means
 	// 60ms.
 	GatherTimeout time.Duration
-
-	// MaxPackCount bounds how many payloads one packed message carries.
-	// Zero means 32; values are capped so (Seq, Sub) still folds into a
-	// single 64-bit timestamp.
-	MaxPackCount int
-	// MaxPackBytes bounds the payload bytes of one packed message, so a
-	// pack fits one datagram on real transports (udpnet reassembles up
-	// to 64 KiB). Zero means 32 KiB. A payload larger than the bound is
-	// never packed; it travels alone as a plain regular message.
-	MaxPackBytes int
 
 	// Ordering selects the total-order mechanism: the token ring
 	// (default) or the leader-ordered fast path. All members must
@@ -157,12 +159,6 @@ type Config struct {
 	// settings degrade to whichever nodes refuse to adopt (and then to a
 	// membership change), not to an ordering violation.
 	Ordering OrderingMode
-	// FastpathLagLimit bounds, in sequence numbers, how far the
-	// sequencer may run ahead of the stability horizon before it demotes
-	// the ring back to token rotation (leader mode's backlog-imbalance
-	// escape: a follower that cannot keep up would otherwise force
-	// unbounded buffering everywhere). Zero means 4096.
-	FastpathLagLimit int
 
 	// Metrics, when set, exposes the node's protocol counters on the
 	// registry, labelled node=<ID>. The protocol goroutine keeps its
@@ -171,32 +167,11 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.MaxBurst == 0 {
-		c.MaxBurst = 64
-	}
-	if c.IdleHold == 0 {
-		c.IdleHold = 200 * time.Microsecond
-	}
-	if c.TokenRetransmit == 0 {
-		c.TokenRetransmit = 25 * time.Millisecond
-	}
 	if c.FailTimeout == 0 {
 		c.FailTimeout = 250 * time.Millisecond
 	}
 	if c.GatherTimeout == 0 {
 		c.GatherTimeout = 60 * time.Millisecond
-	}
-	if c.MaxPackCount == 0 {
-		c.MaxPackCount = 32
-	}
-	if c.MaxPackCount >= 1<<subTimestampBits {
-		c.MaxPackCount = 1<<subTimestampBits - 1
-	}
-	if c.MaxPackBytes == 0 {
-		c.MaxPackBytes = 32 << 10
-	}
-	if c.FastpathLagLimit == 0 {
-		c.FastpathLagLimit = 4096
 	}
 }
 

@@ -50,6 +50,49 @@ func TestTokenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTokenLayout pins the token frame to the field order docs/PROTOCOL.md
+// documents: kind, ring id, token id, seq, aru, stable, successor, then
+// the counted rtr (seq, age) and skip lists. A hostile rtr count must
+// fail the decode instead of reading the lists out of step.
+func TestTokenLayout(t *testing.T) {
+	w := cdr.NewWriter(cdr.BigEndian)
+	w.WriteOctet(kindToken)
+	for _, v := range []uint64{7, 1234, 500, 480, 470} {
+		w.WriteULongLong(v)
+	}
+	w.WriteString("n3")
+	w.WriteULong(1)
+	w.WriteULongLong(481)
+	w.WriteULong(2)
+	w.WriteULong(1)
+	w.WriteULongLong(460)
+	tok := token{
+		RingID: 7, TokenID: 1234, Seq: 500, Aru: 480, Stable: 470, Succ: "n3",
+		Rtr: []rtrEntry{{Seq: 481, Age: 2}}, Skip: []uint64{460},
+	}
+	if got := encodeToken(tok); !bytes.Equal(got, w.Bytes()) {
+		t.Fatalf("encodeToken = %x, want %x", got, w.Bytes())
+	}
+	got, err := decodeToken(cdrSkipKind(w.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, tok) {
+		t.Fatalf("got %+v, want %+v", got, tok)
+	}
+
+	h := cdr.NewWriter(cdr.BigEndian)
+	h.WriteOctet(kindToken)
+	for i := 0; i < 5; i++ {
+		h.WriteULongLong(1)
+	}
+	h.WriteString("n3")
+	h.WriteULong(1 << 30)
+	if _, err := decodeToken(cdrSkipKind(h.Bytes())); err == nil {
+		t.Fatal("hostile rtr count decoded")
+	}
+}
+
 func TestTokenRoundTripEmptyLists(t *testing.T) {
 	tok := token{RingID: 1, TokenID: 1, Succ: "a"}
 	got, err := decodeToken(decodeFrame(t, encodeToken(tok), kindToken))

@@ -151,13 +151,10 @@ func testLossyAgreement(t *testing.T, cfgFor func(id memnet.NodeID, seed int64) 
 		t.Cleanup(func() { _ = ep.Close() })
 		eps[id] = ep
 		node, err := totem.Start(totem.Config{
-			ID:              id,
-			Endpoint:        ep,
-			Members:         ids,
-			IdleHold:        200 * time.Microsecond,
-			TokenRetransmit: 15 * time.Millisecond,
-			FailTimeout:     300 * time.Millisecond,
-			GatherTimeout:   40 * time.Millisecond,
+			Endpoint:      ep,
+			Members:       ids,
+			FailTimeout:   300 * time.Millisecond,
+			GatherTimeout: 40 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -117,13 +117,10 @@ func testTotemRingOverUDP(t *testing.T, batched bool) {
 		}
 		t.Cleanup(func() { _ = ep.Close() })
 		node, err := totem.Start(totem.Config{
-			ID:              id,
-			Endpoint:        ep,
-			Members:         ids,
-			IdleHold:        200 * time.Microsecond,
-			TokenRetransmit: 20 * time.Millisecond,
-			FailTimeout:     200 * time.Millisecond,
-			GatherTimeout:   40 * time.Millisecond,
+			Endpoint:      ep,
+			Members:       ids,
+			FailTimeout:   200 * time.Millisecond,
+			GatherTimeout: 40 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

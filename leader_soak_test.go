@@ -67,13 +67,10 @@ func TestLeaderCrashSoak(t *testing.T) {
 		Name:  "leader-soak",
 		Nodes: 5,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
-			Ordering:        totem.OrderingLeader,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
+			Ordering:      totem.OrderingLeader,
 		},
-		GatewayInvokeTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,13 +53,10 @@ func TestReconfigRollingUpgradeSoak(t *testing.T) {
 		Name:  "reconfig-soak",
 		Nodes: 4,
 		Totem: totem.Config{
-			IdleHold:        100 * time.Microsecond,
-			TokenRetransmit: 10 * time.Millisecond,
-			FailTimeout:     80 * time.Millisecond,
-			GatherTimeout:   20 * time.Millisecond,
+			FailTimeout:   80 * time.Millisecond,
+			GatherTimeout: 20 * time.Millisecond,
 		},
-		Replication:          replication.Config{CheckpointInterval: cpInterval},
-		GatewayInvokeTimeout: 10 * time.Second,
+		Replication: replication.Config{CheckpointInterval: cpInterval},
 		OnIORUpdate: func(objectKey []byte, ref ior.Ref) {
 			clientMu.Lock()
 			lastRef, haveRef = ref, true
